@@ -550,7 +550,7 @@ def _cmd_bench(args):
         violations = trend_violations(records,
                                       window=args.trend_window,
                                       tolerance=args.trend_tolerance)
-        print(format_trend_violations(violations,
+        print(format_trend_violations(violations, len(records),
                                       window=args.trend_window,
                                       tolerance=args.trend_tolerance))
         return 1 if violations else 0

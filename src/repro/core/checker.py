@@ -105,7 +105,8 @@ class CheckerRun:
         else:
             from repro.perf.jit import build_replay_steps
             self._decoded = decode_program(program)
-            # Fused replay+timing closures, cached on the pipeline.
+            # Fused replay+timing closures, shared by every pipeline
+            # with this timing config.
             self._replay = build_replay_steps(self._decoded, pipeline)
 
         srcp = segment.srcp
@@ -239,7 +240,7 @@ class CheckerRun:
                     delivery = deliveries[next_entry]
                     self.next_entry = next_entry + 1
                     complete, mismatch = replay[idx](state, pc, entry,
-                                                     delivery)
+                                                     delivery, pipeline)
                     self.executed = executed + 1
                     consume = complete if complete > delivery else delivery
                     if self._skip_consume:
@@ -268,7 +269,7 @@ class CheckerRun:
                             rec.complete_rel.append(complete - rec.start)
                             rec.is_load.append(is_load)
                 else:
-                    replay[idx](state, pc, None, None)
+                    replay[idx](state, pc, None, None, pipeline)
                     self.executed = executed + 1
                     if rec is not None:
                         rec.pcs.append(pc)

@@ -52,6 +52,13 @@ class LittleCorePipeline:
         # profiler flagged — no tuple allocation per lookup.
         self._int_ready = [0] * 32
         self._fp_ready = [0] * 32
+        # Last I-cache line the fast kernel's replay fetched from.  Like
+        # the icache it describes, it persists across segments.
+        self._ic_line = [-1]
+        # The fast kernel's replay table this pipeline last used; the
+        # strong reference that keeps a shared table alive
+        # (repro.perf.jit.build_replay_steps).
+        self._replay_table = None
         self.instructions_retired = 0
         self.busy_cycles = 0
 
@@ -59,9 +66,8 @@ class LittleCorePipeline:
         """Start a fresh activity (segment / thread slice) at ``cycle``."""
         if cycle > self.time:
             self.time = cycle
-        # In-place clear: the fast kernel's fused replay closures
-        # capture these list objects, so their identity must survive
-        # segment resets.
+        # ``_ic_line`` is deliberately left alone: the icache it
+        # describes carries across segments.
         self._int_ready[:] = _ZEROS32
         self._fp_ready[:] = _ZEROS32
 

@@ -35,6 +35,7 @@ varies between runs, which is why each sample takes the best of
 ``repeat`` runs.
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -52,14 +53,23 @@ DEFAULT_FIGURES = ("fig7",)
 
 
 def _best(fn, repeat):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
+    # Freeze the heap built before the measurement (imports, caches,
+    # earlier work in the same process): a full collection that lands
+    # in a timed rep then scans only what the rep itself allocated, so
+    # the rep pays for its own GC work, not for the size of the process
+    # it runs in.
+    gc.freeze()
+    try:
+        best = float("inf")
+        result = None
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            result = fn()
+            elapsed = time.perf_counter() - t0
+            if elapsed < best:
+                best = elapsed
+    finally:
+        gc.unfreeze()
     return best, result
 
 

@@ -140,7 +140,12 @@ def sparkline(values):
         for value in values)
 
 
-def trend_violations(records, window=6, tolerance=0.15, min_runs=4):
+#: Runs a metric needs before the slope check judges it.
+TREND_MIN_RUNS = 4
+
+
+def trend_violations(records, window=6, tolerance=0.15,
+                     min_runs=TREND_MIN_RUNS):
     """Sustained-slope regressions across the trailing ``window`` runs.
 
     The floor check (:mod:`repro.perf.regress`) is a binary gate: a
@@ -188,8 +193,16 @@ def trend_violations(records, window=6, tolerance=0.15, min_runs=4):
     return violations
 
 
-def format_trend_violations(violations, window=6, tolerance=0.15):
-    """Render the slope-check verdict under the trend table."""
+def format_trend_violations(violations, runs, window=6, tolerance=0.15):
+    """Render the slope-check verdict under the trend table.
+
+    ``runs`` is the number of recorded runs; below
+    :data:`TREND_MIN_RUNS` the check had nothing to judge, and says so
+    instead of reporting OK.
+    """
+    if runs < TREND_MIN_RUNS:
+        return (f"trend check   : insufficient history: {runs} < "
+                f"{TREND_MIN_RUNS} runs (slope check not applied)")
     if not violations:
         return (f"trend check   : OK (no metric declining more than "
                 f"{tolerance:.0%} over its last {window} runs)")

@@ -620,19 +620,27 @@ def _build_replay_source(op):
 
     timing = _LITTLE_TIMING.get(iclass, _LITTLE_DEFAULT_TIMING)
     ret = "(complete, mismatch)" if needs_entry else "complete"
+    ready_src = _little_ready_src(spec)
+    mark_src = _little_mark_src(spec)
+    # Bind only the scoreboards this op's timing reads or writes.
+    tables_src = "".join(f"        {name} = pipeline._{name}\n"
+                         for name in ("int_ready", "fp_ready")
+                         if name in ready_src or name in mark_src)
 
+    # The closure binds only config constants; every piece of mutable
+    # little-core state (icache, last fetched line, scoreboards) is read
+    # from the ``pipeline`` argument, so one table serves every
+    # pipeline with this timing config and holds no reference back.
     source = f"""\
 def maker(RD, RS1, RS2, IMM, OP_INSTR, SHARED):
-    (pipeline, icache, icache_lookup, icache_fill, IC, IC_SHIFT,
-     int_ready, fp_ready,
-     RATIO, MISS_PEN, DIV_BUSY, FDIV_BUSY, FP_LAT, FP_OCC, MUL_LAT,
-     LOAD_LAT, BR_PEN) = SHARED
+    (IC_SHIFT, RATIO, MISS_PEN, DIV_BUSY, FDIV_BUSY, FP_LAT, FP_OCC,
+     MUL_LAT, LOAD_LAT, BR_PEN) = SHARED
     MH = None  # checker replay never runs a MEEK handler
     UIMM = IMM & WORD
     IMM12 = IMM << 12
     LUI_VALUE = (IMM << 12) & WORD
 {_mem_consts(op)}\
-    def replay(state, pc, entry, delivery):
+    def replay(state, pc, entry, delivery, pipeline):
         regs = state.int_regs
         fregs = state.fp_regs
         start = pipeline.time
@@ -641,19 +649,21 @@ def maker(RD, RS1, RS2, IMM, OP_INSTR, SHARED):
         # hit and touch the LRU list.  Count the hit directly; stats
         # and LRU state stay bit-identical to the naive lookup.
         line = pc >> IC_SHIFT
+        IC = pipeline._ic_line
         if line == IC[0]:
-            icache.hits += 1
-        elif icache_lookup(pc):
-            IC[0] = line
+            pipeline.icache.hits += 1
         else:
-            icache_fill(pc)
+            icache = pipeline.icache
+            if not icache.lookup(pc):
+                icache.fill(pc)
+                start += MISS_PEN
             IC[0] = line
-            start += MISS_PEN
         issue = start
-{_little_ready_src(spec)}
+{tables_src}\
+{ready_src}
 {exec_src}
 {timing}
-{_little_mark_src(spec)}
+{mark_src}
         pipeline.time = next_issue
         pipeline.instructions_retired += 1
         pipeline.busy_cycles += next_issue - start
@@ -676,47 +686,51 @@ def _replay_maker(op):
     return maker
 
 
+class ReplayTable:
+    """One program's fused replay closures for one little-core timing
+    config: ``steps[i]`` replays ``decoded.entries[i]``."""
+
+    __slots__ = ("decoded", "steps", "__weakref__")
+
+    def __init__(self, decoded, steps):
+        self.decoded = decoded
+        self.steps = steps
+
+
 def build_replay_steps(decoded, pipeline):
-    """Fused replay closures for one little-core pipeline.
+    """Fused replay closures of ``decoded`` for ``pipeline``'s timing
+    config; call ``steps[i](state, pc, entry, delivery, pipeline)``.
 
-    Cached on the pipeline object per decoded program: the pipeline
-    persists across segments, so every CheckerRun on this core reuses
-    the same table.
+    One table per (decoded program, timing config) is shared by every
+    pipeline and every batch lane that replays that program.  The
+    decoded program holds it weakly and each pipeline strongly (the
+    table it last used), so a table lives exactly as long as the runs
+    replaying through it, not as long as the program cache.  The
+    closures hold only constants, never a pipeline, so a dropped table
+    is freed by reference counting rather than by the cyclic GC.
     """
-    cache = getattr(pipeline, "_replay_tables", None)
-    if cache is None:
-        cache = {}
-        pipeline._replay_tables = cache
-    # Keyed by the DecodedProgram object itself (identity hash, strong
-    # reference): an id()-based key would collide once a decoded image
-    # is garbage-collected and its id reused by a later program.
-    table = cache.get(decoded)
-    if table is not None:
-        return table
-
-    ic_cell = getattr(pipeline, "_ic_line", None)
-    if ic_cell is None:
-        # Last fetched I-cache line, shared by every replay table on
-        # this pipeline (the pipeline — and its icache — persist
-        # across segments, so the cell must too).
-        ic_cell = [-1]
-        pipeline._ic_line = ic_cell
-    icache = pipeline.icache
-    shared = (pipeline, icache, icache.lookup, icache.fill,
-              ic_cell, icache._offset_bits,
-              pipeline._int_ready, pipeline._fp_ready,
-              pipeline.ratio, pipeline._miss_penalty, pipeline._div_busy,
-              pipeline._fdiv_busy, pipeline._fp_lat, pipeline._fp_occ,
-              pipeline._mul_lat, pipeline._load_data_lat,
-              pipeline._branch_pen)
-    steps = []
-    append = steps.append
-    for entry in decoded.entries:
-        instr = entry.instr
-        append(_replay_maker(instr.op)(instr.rd, instr.rs1, instr.rs2,
-                                       instr.imm, instr, shared))
-    cache[decoded] = steps
-    return steps
+    table = pipeline._replay_table
+    if table is not None and table.decoded is decoded:
+        return table.steps
+    # The timing constants the table bakes in: the ``SHARED`` tuple of
+    # every replay maker.
+    key = (pipeline.icache._offset_bits, pipeline.ratio,
+           pipeline._miss_penalty, pipeline._div_busy, pipeline._fdiv_busy,
+           pipeline._fp_lat, pipeline._fp_occ, pipeline._mul_lat,
+           pipeline._load_data_lat, pipeline._branch_pen)
+    tables = decoded.replay_tables
+    table = tables.get(key)
+    if table is None:
+        steps = []
+        append = steps.append
+        for entry in decoded.entries:
+            instr = entry.instr
+            append(_replay_maker(instr.op)(instr.rd, instr.rs1, instr.rs2,
+                                           instr.imm, instr, key))
+        table = ReplayTable(decoded, steps)
+        tables[key] = table
+    pipeline._replay_table = table
+    return table.steps
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,26 @@ class TestBenchTrend:
         assert "hmmer/meek/instrs_per_s" in out
         assert "+" in out or "-" in out  # the change column rendered
 
+    def test_trend_reports_insufficient_history(self, tmp_path, capsys):
+        """Too few runs for the slope check is said out loud, never
+        reported as a passing check."""
+        from repro.perf.history import append_history
+
+        history = tmp_path / "hist.jsonl"
+        result = {"workloads": {"hmmer": {"meek": {"instrs_per_s": 1e5}}},
+                  "config": {"instructions": 20_000, "cores": 4}}
+        for runs in (1, 2, 3, 4):
+            append_history(result, path=str(history), sha="abc1234")
+            assert main(["bench", "--trend", "--history",
+                         str(history)]) == 0
+            out = capsys.readouterr().out
+            if runs < 4:
+                assert f"insufficient history: {runs} < 4 runs" in out
+                assert "trend check   : OK" not in out
+            else:
+                assert "insufficient history" not in out
+                assert "trend check   : OK" in out
+
 
 # -- the serve family: serve / submit / queue / cancel / watch-by-rid ------
 

@@ -171,72 +171,84 @@ class TestBaselineIo:
 
 _BENCH_ARGS = ["bench", "--workloads", "mcf", "--instructions", "1500",
                "--repeat", "1", "--skip-figures", "--skip-kernels",
-               "--skip-warm-start", "--skip-campaign"]
+               "--skip-warm-start", "--skip-campaign",
+               "--skip-batch-kernel"]
+
+
+@pytest.fixture
+def bench_args(tmp_path):
+    """``_BENCH_ARGS`` with a private trend history, so no test appends
+    to the checkout's ``benchmarks/BENCH_history.jsonl``."""
+    return _BENCH_ARGS + ["--history",
+                          str(tmp_path / "BENCH_history.jsonl")]
 
 
 @pytest.mark.bench
 class TestBenchCli:
-    def test_bench_writes_result(self, tmp_path, capsys):
+    def test_bench_writes_result(self, bench_args, tmp_path, capsys):
         out = str(tmp_path / "BENCH_perf.json")
-        assert main(_BENCH_ARGS + ["--out", out]) == 0
+        assert main(bench_args + ["--out", out]) == 0
         text = capsys.readouterr().out
         assert "Simulation throughput" in text
         written = json.loads((tmp_path / "BENCH_perf.json").read_text())
         assert written["workloads"]["mcf"]["meek"]["instrs_per_s"] > 0
 
-    def test_bench_check_passes_against_own_baseline(self, tmp_path,
-                                                     capsys):
+    def test_bench_check_passes_against_own_baseline(self, bench_args,
+                                                     tmp_path, capsys):
         out = str(tmp_path / "BENCH_perf.json")
-        assert main(_BENCH_ARGS + ["--out", out]) == 0
-        code = main(_BENCH_ARGS + ["--out", "", "--baseline", out,
+        assert main(bench_args + ["--out", out]) == 0
+        code = main(bench_args + ["--out", "", "--baseline", out,
                                    "--check", "--tolerance", "0.9"])
         assert code == 0
         assert "no regression" in capsys.readouterr().out
 
-    def test_passing_check_leaves_baseline_untouched(self, tmp_path):
+    def test_passing_check_leaves_baseline_untouched(self, bench_args,
+                                                     tmp_path):
         """--check is read-only on the baseline even when it passes —
         otherwise each run ratchets the floor down by the tolerance."""
         out = tmp_path / "BENCH_perf.json"
-        assert main(_BENCH_ARGS + ["--out", str(out)]) == 0
+        assert main(bench_args + ["--out", str(out)]) == 0
         before = out.read_text()
-        code = main(_BENCH_ARGS + ["--out", str(out), "--baseline",
+        code = main(bench_args + ["--out", str(out), "--baseline",
                                    str(out), "--check", "--tolerance",
                                    "0.9"])
         assert code == 0
         assert out.read_text() == before
 
-    def test_bench_check_fails_on_inflated_baseline(self, tmp_path,
-                                                    capsys):
+    def test_bench_check_fails_on_inflated_baseline(self, bench_args,
+                                                    tmp_path, capsys):
         out = tmp_path / "BENCH_perf.json"
-        assert main(_BENCH_ARGS + ["--out", str(out)]) == 0
+        assert main(bench_args + ["--out", str(out)]) == 0
         baseline = json.loads(out.read_text())
         for systems in baseline["workloads"].values():
             for metrics in systems.values():
                 metrics["instrs_per_s"] *= 1_000
         out.write_text(json.dumps(baseline))
-        code = main(_BENCH_ARGS + ["--out", "", "--baseline", str(out),
+        code = main(bench_args + ["--out", "", "--baseline", str(out),
                                    "--check"])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_bench_check_missing_baseline_is_usage_error(self, tmp_path):
-        code = main(_BENCH_ARGS + ["--out", "", "--check", "--baseline",
+    def test_bench_check_missing_baseline_is_usage_error(self, bench_args,
+                                                         tmp_path):
+        code = main(bench_args + ["--out", "", "--check", "--baseline",
                                    str(tmp_path / "nope.json")])
         assert code == 2
 
     def test_failed_check_never_overwrites_its_own_baseline(self,
+                                                            bench_args,
                                                             tmp_path):
         """Regression: --check + --out on the same file must not
         launder a regression into the new baseline."""
         out = tmp_path / "BENCH_perf.json"
-        assert main(_BENCH_ARGS + ["--out", str(out)]) == 0
+        assert main(bench_args + ["--out", str(out)]) == 0
         baseline = json.loads(out.read_text())
         for systems in baseline["workloads"].values():
             for metrics in systems.values():
                 metrics["instrs_per_s"] *= 1_000
         out.write_text(json.dumps(baseline))
         before = out.read_text()
-        code = main(_BENCH_ARGS + ["--out", str(out), "--baseline",
+        code = main(bench_args + ["--out", str(out), "--baseline",
                                    str(out), "--check"])
         assert code == 1
         assert out.read_text() == before, "baseline was overwritten"
@@ -246,8 +258,29 @@ def test_run_bench_kernel_consistency_guard():
     """run_bench's kernel A/B asserts cycle equality between kernels —
     the bench itself is an equivalence check."""
     result = run_bench(workloads=("mcf",), instructions=1_200, repeat=1,
-                       figures=(), kernels=True)
+                       figures=(), kernels=True, batch_kernel=False)
     kernels = result["kernels"]
     assert kernels["fast_meek_s"] > 0 and kernels["slow_meek_s"] > 0
     assert kernels["meek_speedup"] == (kernels["slow_meek_s"]
                                        / kernels["fast_meek_s"])
+
+
+@pytest.mark.bench
+def test_run_bench_batch_kernel_section():
+    """The batch-kernel section on its own (the CLI tests above skip
+    it): its keys are all there and the batched side makes progress."""
+    from repro.perf.batch import batch_available
+
+    if not batch_available():
+        pytest.skip("batch kernel unavailable (numpy missing or disabled)")
+    result = run_bench(workloads=("mcf",), instructions=1_500, repeat=1,
+                       figures=(), kernels=False, warm_start=False,
+                       campaign=False, batch_kernel=True)
+    section = result["batch_kernel"]
+    assert set(section) == {
+        "workload", "instructions", "rate", "lanes", "reps",
+        "scalar_points", "scalar_points_per_s", "scalar_memo_points_per_s",
+        "batched_points_per_s", "batch_speedup", "eviction_rate",
+        "soa_lane_backend"}
+    assert section["workload"] == "mcf"
+    assert section["batched_points_per_s"] > 0

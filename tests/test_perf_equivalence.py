@@ -9,6 +9,11 @@ asserting equal cycle counts, architectural state, segment structure,
 stall attribution, verdicts, and fault-detection latencies.
 """
 
+import dataclasses
+import gc
+import types
+import weakref
+
 import pytest
 
 from repro.common.config import default_meek_config
@@ -18,6 +23,9 @@ from repro.core.system import MeekSystem, run_vanilla
 from repro.difftest.golden import run_golden, snapshot
 from repro.difftest.progen import generate_fuzz_program
 from repro.isa.state import ArchState
+from repro.littlecore.pipeline import LittleCorePipeline
+from repro.mem.cache import CacheModel
+from repro.perf.decode import decode_program
 from repro.workloads import all_profiles, generate_program, get_profile
 
 PROFILE_NAMES = [profile.name for profile in all_profiles()]
@@ -27,10 +35,11 @@ def _set_kernel(monkeypatch, slow):
     monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
 
 
-def _meek_fingerprint(program, cores=2, injector=None):
+def _meek_fingerprint(program, cores=2, injector=None, config=None):
     """Everything observable from one MEEK + vanilla execution."""
     vanilla = run_vanilla(program)
-    config = default_meek_config(num_little_cores=cores)
+    if config is None:
+        config = default_meek_config(num_little_cores=cores)
     result = MeekSystem(config, injector=injector).run(program)
     state = result.big.state
     return {
@@ -176,8 +185,9 @@ def test_meek_extension_ops_replay_bit_identical(monkeypatch):
 
 def test_one_system_many_programs_no_stale_replay(monkeypatch):
     """Reusing one MeekSystem across many distinct programs must never
-    serve a stale replay table (regression: the per-pipeline cache was
-    keyed by id(), which collides after garbage collection)."""
+    serve a stale replay table (regression: a table cache keyed by
+    id() collides once a program is garbage-collected and its id is
+    reused by a later one)."""
     _set_kernel(monkeypatch, slow=False)
     system = MeekSystem(default_meek_config(num_little_cores=2))
     for index in range(25):
@@ -187,6 +197,148 @@ def test_one_system_many_programs_no_stale_replay(monkeypatch):
         result = system.run(program)
         assert result.all_segments_verified, (
             f"false divergence on program {index}: stale replay table")
+
+
+def _replay_garbage(garbage):
+    """Pipelines, caches and replay-closure cells among ``garbage``."""
+    replay_fns = [obj for obj in garbage
+                  if isinstance(obj, types.FunctionType)
+                  and obj.__code__.co_filename.startswith(
+                      "<repro.perf.jit:replay:")]
+    cells = {id(cell) for fn in replay_fns for cell in fn.__closure__ or ()}
+    return [obj for obj in garbage
+            if isinstance(obj, (LittleCorePipeline, CacheModel))
+            or id(obj) in cells]
+
+
+def _collect_saved_garbage(run):
+    """Call ``run()``, drop its result and return what the cyclic GC
+    found unreachable (``gc.DEBUG_SAVEALL`` keeps it for inspection)."""
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_replay_table_shared_by_every_pipeline(monkeypatch):
+    """All little cores of one system replay through one table."""
+    _set_kernel(monkeypatch, slow=False)
+    program = generate_program(get_profile("dedup"),
+                               dynamic_instructions=5_000, seed=4)
+    system = MeekSystem(default_meek_config(num_little_cores=4))
+    assert system.run(program).all_segments_verified
+    assert all(p.instructions_retired for p in system.pipelines)
+    tables = {id(p._replay_table) for p in system.pipelines}
+    assert len(tables) == 1
+    assert system.pipelines[0]._replay_table is not None
+    assert system.pipelines[0]._replay_table.decoded is \
+        decode_program(program)
+
+
+def test_replay_tables_leave_no_cyclic_garbage(monkeypatch):
+    """A finished run is freed by reference counting: nothing of the
+    little cores or their replay closures waits for the cyclic GC."""
+    _set_kernel(monkeypatch, slow=False)
+    program = generate_program(get_profile("mcf"),
+                               dynamic_instructions=2_000, seed=2)
+
+    def run():
+        system = MeekSystem(default_meek_config(num_little_cores=4))
+        assert system.run(program).all_segments_verified
+
+    assert _replay_garbage(_collect_saved_garbage(run)) == []
+
+
+def test_replay_table_freed_with_its_run(monkeypatch):
+    """The decoded program holds its tables weakly: dropping the run
+    frees the table even while the program (and its decoded image in
+    the program cache) lives on."""
+    _set_kernel(monkeypatch, slow=False)
+    program = generate_program(get_profile("swaptions"),
+                               dynamic_instructions=1_500, seed=6)
+    system = MeekSystem(default_meek_config(num_little_cores=2))
+    result = system.run(program)
+    table = weakref.ref(system.pipelines[0]._replay_table)
+    assert table() is not None
+    assert len(decode_program(program).replay_tables) == 1
+    del system, result
+    assert table() is None
+    assert len(decode_program(program).replay_tables) == 0
+
+
+def _inject_batch(trials=32):
+    from repro.campaign.spec import CampaignPoint
+    from repro.campaign.tasks import run_inject_batch
+
+    points = [CampaignPoint(task="inject", workload="dedup",
+                            instructions=2_500, seed=0,
+                            params={"rate": 0.008, "trial": trial,
+                                    "rng_key": f"0/dedup/{trial}"})
+              for trial in range(trials)]
+    metrics, stats = run_inject_batch(points, "t")
+    assert stats is not None and stats["lanes"] == trials
+    return metrics
+
+
+def test_replay_table_shared_by_every_batch_lane(monkeypatch):
+    """Every lane of a 32-lane lockstep batch replays through one table
+    and leaves no cyclic garbage behind."""
+    pytest.importorskip("numpy")
+    from repro.perf import jit
+
+    _set_kernel(monkeypatch, slow=False)
+    monkeypatch.setenv("REPRO_NO_BATCH", "0")
+    used = []
+    build = jit.build_replay_steps
+
+    def spy(decoded, pipeline):
+        steps = build(decoded, pipeline)
+        used.append((pipeline, pipeline._replay_table))
+        return steps
+
+    monkeypatch.setattr(jit, "build_replay_steps", spy)
+    _inject_batch()
+    assert len({id(pipeline) for pipeline, _ in used}) >= 32
+    assert len({id(table) for _, table in used}) == 1
+    del used[:]
+
+    monkeypatch.setattr(jit, "build_replay_steps", build)
+    assert _replay_garbage(_collect_saved_garbage(_inject_batch)) == []
+
+
+def test_two_little_core_configs_get_distinct_tables(monkeypatch):
+    """Tables are keyed by the timing constants they bake in: two
+    little-core configs on one program never share one, and each
+    matches the slow kernel bit for bit."""
+    program = generate_program(get_profile("blackscholes"),
+                               dynamic_instructions=2_000, seed=9)
+    base = default_meek_config(num_little_cores=2)
+    slow_little = dataclasses.replace(
+        base.little_core, div_unroll=1, fpu_pipelined=False,
+        branch_penalty=3, mul_latency=6)
+    configs = (base, dataclasses.replace(base, little_core=slow_little))
+
+    _set_kernel(monkeypatch, slow=False)
+    systems = [MeekSystem(config) for config in configs]
+    for system in systems:
+        system.run(program)
+    first, second = (s.pipelines[0]._replay_table for s in systems)
+    assert first is not second
+    assert first.steps is not second.steps
+    assert len(decode_program(program).replay_tables) == 2
+    fast = [_meek_fingerprint(program, config=config) for config in configs]
+    assert fast[0]["meek"] != fast[1]["meek"], \
+        "the configs must differ in observable timing"
+
+    _set_kernel(monkeypatch, slow=True)
+    slow = [_meek_fingerprint(program, config=config) for config in configs]
+    assert slow == fast
 
 
 def test_controller_subclass_hook_not_bypassed(monkeypatch):
