@@ -79,9 +79,8 @@ def build_config(params):
 #: (workload, instructions, seed) -> Program.  Campaign trials differ
 #: only in fault parameters, so a worker evaluating a pool chunk keeps
 #: rebuilding the same image; caching it also makes every trial share
-#: one *object*, which is what keys the decode cache and the segment
-#: memo (:mod:`repro.core.segmemo`).  Programs are immutable after
-#: construction, so sharing is safe.
+#: one *object*, which is what keys the decode cache.  Programs are
+#: immutable after construction, so sharing is safe.
 _PROGRAM_CACHE = {}
 _PROGRAM_CACHE_MAX = 32
 

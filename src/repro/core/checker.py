@@ -17,7 +17,6 @@ model, in big-core cycles.
 
 from repro.common.bitops import mask
 from repro.common.errors import SimulationError
-from repro.core import segmemo
 from repro.fabric.packets import RuntimeKind
 from repro.isa.instructions import InstrClass
 from repro.isa.semantics import execute
@@ -86,7 +85,7 @@ class CheckerRun:
     REGISTER_PORTS = 8
 
     def __init__(self, segment, program, pipeline, lsl, clock_ratio=2,
-                 one_instruction_behind=True, memo_record=True):
+                 one_instruction_behind=True):
         self.segment = segment
         self.program = program
         self.pipeline = pipeline
@@ -123,17 +122,6 @@ class CheckerRun:
         pipeline.reset_to(start)
         self.start_cycle = start
 
-        # Segment memoization (repro.core.segmemo): a previously seen
-        # (program, SRCP, pipeline-config) segment replays from its
-        # recorded summary; otherwise this run may record one.
-        self._memo = None
-        self._rec = None
-        self._follow = None
-        self._memo_record = memo_record
-        self._skip_consume = 0
-        if self._decoded is not None and segmemo.memo_enabled():
-            segmemo.prepare(self)
-
     # -- helpers ---------------------------------------------------------
 
     @property
@@ -150,18 +138,10 @@ class CheckerRun:
         return count
 
     def _detect(self, cycle, reason):
-        if self._rec is not None:
-            segmemo.abandon(self)
         self.verdict = SegmentVerdict(ok=False, finish_cycle=cycle,
                                       seg_id=self.segment.seg_id,
                                       detect_cycle=cycle, reason=reason)
         return self.verdict
-
-    def abandon_recording(self):
-        """Retire an in-flight memo recording without a verdict (lane
-        eviction, empty trailing segment at program end)."""
-        if self._rec is not None:
-            segmemo.abandon(self)
 
     @property
     def compare_cycles(self):
@@ -176,23 +156,6 @@ class CheckerRun:
         ``None``."""
         if self.verdict is not None:
             return self.verdict
-        if self._memo is not None or self._follow is not None:
-            if self._follow is not None:
-                outcome = segmemo.follow_advance(self)
-            else:
-                outcome = segmemo.memo_advance(self)
-            if outcome is not segmemo.FALLBACK:
-                return outcome
-            # The recording cannot describe this segment (corrupted
-            # entry, diverged boundary, late load bind, leader gone):
-            # replay it for real from the segment start.  Nothing was
-            # mutated except consumption times already proven equal,
-            # which the re-execution below must emit-skip rather than
-            # repeat.
-            self._memo = None
-            self._follow = None
-            self._skip_consume = self.next_entry
-            self.next_entry = 0
         seg = self.segment
         decoded = self._decoded
         state = self.state
@@ -214,8 +177,6 @@ class CheckerRun:
             dec_entries = decoded.entries
             base = decoded.base
             n = len(dec_entries)
-            rec = self._rec
-            cls_load = InstrClass.LOAD
             while True:
                 executed = self.executed
                 if executed >= allowed:
@@ -243,36 +204,12 @@ class CheckerRun:
                                                      delivery, pipeline)
                     self.executed = executed + 1
                     consume = complete if complete > delivery else delivery
-                    if self._skip_consume:
-                        # Re-execution after a memo fallback: this
-                        # consumption was already emitted (and proven
-                        # equal) by the validated memo prefix.
-                        self._skip_consume -= 1
-                    else:
-                        record_consumption(consume)
+                    record_consumption(consume)
                     if mismatch is not None:
                         return self._detect(consume, mismatch)
-                    if rec is not None:
-                        is_load = dec_entries[idx].iclass is cls_load
-                        if is_load and delivery >= complete:
-                            # The logged data arrived late enough to
-                            # bind this load's completion to delivery
-                            # time: the relative schedule is no longer
-                            # a pure function of the segment key.
-                            segmemo.abandon(self)
-                            rec = None
-                        else:
-                            rec.pcs.append(pc)
-                            rec.positions.append(executed)
-                            rec.recs.append((entry.rkind, entry.addr,
-                                             entry.data, entry.size))
-                            rec.complete_rel.append(complete - rec.start)
-                            rec.is_load.append(is_load)
                 else:
                     replay[idx](state, pc, None, None, pipeline)
                     self.executed = executed + 1
-                    if rec is not None:
-                        rec.pcs.append(pc)
 
         cls_load = InstrClass.LOAD
         while True:
@@ -336,28 +273,7 @@ class CheckerRun:
         if matches and drained:
             self.verdict = SegmentVerdict(ok=True, finish_cycle=when,
                                           seg_id=seg.seg_id)
-            if self._rec is not None:
-                # Only clean segments are worth remembering (faulty
-                # ones are detection-dependent one-offs), and only
-                # clean ones are *safe* to remember: the recorded
-                # finals then equal the committed ERCP.
-                segmemo.commit_recording(self)
         else:
             reason = "ercp-register-mismatch" if drained else "log-not-drained"
             self.verdict = self._detect(when, reason)
         return self.verdict
-
-    def finish_from_memo(self, summary):
-        """Settle a fully memoized segment: the same final comparison
-        as :meth:`_final_compare`, against the recorded architectural
-        state (which equals what re-execution would have produced).
-        The log is drained by construction of the memo walk."""
-        seg = self.segment
-        when = max(self.pipeline.time, seg.ercp_delivery)
-        when += self.compare_cycles
-        if seg.ercp.matches(summary.final_int_regs, summary.final_fp_regs,
-                            summary.final_csrs, summary.final_pc):
-            self.verdict = SegmentVerdict(ok=True, finish_cycle=when,
-                                          seg_id=seg.seg_id)
-            return self.verdict
-        return self._detect(when, "ercp-register-mismatch")

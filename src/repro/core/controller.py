@@ -229,9 +229,6 @@ class MeekController:
             self._close_segment(end_cycle, SegmentEndReason.PROGRAM_END, 0)
         elif self.active is not None:
             # An empty segment needs no verification.
-            checker = self.checkers.get(self.active.seg_id)
-            if checker is not None:
-                checker.abandon_recording()
             self.active = None
         drain = max(self.core_free) if self.core_free else end_cycle
         return max(drain, end_cycle)
@@ -275,12 +272,7 @@ class MeekController:
         checker = CheckerRun(
             seg, self.program, self.pipelines[core], lsl,
             clock_ratio=2,
-            one_instruction_behind=self.config.one_instruction_behind,
-            # Segment boundaries drift once a detection has perturbed
-            # checker timing, so post-detection segments key uniquely
-            # per trial: recording them would only pollute the memo
-            # store.  (Replaying *from* the store stays allowed.)
-            memo_record=not self.detections)
+            one_instruction_behind=self.config.one_instruction_behind)
         self.checkers[seg.seg_id] = checker
         return t
 

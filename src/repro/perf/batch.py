@@ -55,7 +55,6 @@ the *fast*-kernel commit protocol.
 import os
 
 from repro.common.errors import SimulationError
-from repro.core.controller import MeekController
 from repro.core.system import MeekSystem
 from repro.fabric.packets import RuntimeEntry
 from repro.isa.instructions import InstrClass
@@ -222,17 +221,7 @@ def run_batch(config, program, injectors):
     if not batch_available():
         raise BatchError("batch kernel unavailable "
                          "(numpy/REPRO_NO_BATCH/REPRO_SLOW_KERNEL)")
-    engine = _BatchEngine(config, program, injectors)
-    try:
-        return engine.run()
-    except BaseException:
-        # Whole-batch abort: the caller reruns every lane on the
-        # scalar kernel.  Leave no in-flight memo recordings behind —
-        # a stale leader would turn future same-key segments into
-        # perpetual followers that always fall back.
-        for lane in engine.live:
-            engine._abandon_recordings(lane)
-        raise
+    return _BatchEngine(config, program, injectors).run()
 
 
 class _BatchEngine:
@@ -298,19 +287,8 @@ class _BatchEngine:
         self.evicted[lane] = cause
         self.eviction_counts[cause] = self.eviction_counts.get(cause, 0) + 1
         self.live.remove(lane)
-        self._abandon_recordings(lane)
         if not self.live:
             raise BatchError("every lane evicted")
-
-    def _abandon_recordings(self, lane):
-        """Retire the lane's in-flight memo recording (if any) so
-        sibling followers fall back instead of waiting on a leader
-        that will never progress."""
-        ctrl = self.controllers[lane]
-        if ctrl.active is not None:
-            checker = ctrl.checkers.get(ctrl.active.seg_id)
-            if checker is not None:
-                checker.abandon_recording()
 
     # -- the lockstep loop -------------------------------------------------
 

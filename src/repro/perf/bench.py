@@ -19,8 +19,8 @@ Warm-path metrics (schema 2) cover the execution service:
 Batched-kernel metrics (schema 3):
 
 * **batch_kernel** — campaign points/s through the lockstep batch
-  kernel (:mod:`repro.perf.batch`) vs the scalar per-point campaign
-  loop it replaced (program rebuilt per point, no segment memo), on a
+  kernel (:mod:`repro.perf.batch`) at its default lane count vs the
+  scalar per-point campaign loop with the shared program cache, on a
   fig7-style inject grid.  Ratios take the *median* rep per side —
   the two sides run interleaved, and best-of would reward whichever
   side caught the quietest scheduler moment.
@@ -306,26 +306,25 @@ def _bench_campaign(workload, instructions, seed, jobs=2, campaigns=4,
     }
 
 
-def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
+def _bench_batch_kernel(workload, instructions, seed, lanes=None, reps=3,
                         rate=0.0005, scalar_points=16):
     """Batched lockstep kernel vs the scalar per-point campaign loop.
 
-    Three execution strategies over one fig7-style inject grid
+    Two execution strategies over one fig7-style inject grid
     (``workload`` × distinct trials at injection rate ``rate``):
 
-    * **scalar** — the pre-batch campaign loop: scalar fast kernel,
-      program rebuilt per point, segment memo off.  This is the
-      baseline the batch kernel's ≥2x claim is measured against.
-    * **scalar_memo** — the scalar kernel with this tree's shared
-      program cache and segment memo, for attribution: how much of the
-      win needs the batch, not just the caches.
+    * **scalar** — the scalar fast kernel, one point at a time, with
+      the shared campaign program cache: the best real alternative to
+      batching, so the batch kernel's claim is measured against it.
     * **batched** — one :func:`repro.campaign.tasks.run_inject_batch`
-      call advancing ``lanes`` points in lockstep.
+      call advancing ``lanes`` points in lockstep (default
+      :data:`repro.perf.batch.DEFAULT_BATCH_LANES`, what campaigns
+      run).
 
-    The sides run interleaved (scalar, scalar_memo, batched, repeat)
-    and each records the *median* rep: a ratio of best-ofs rewards
-    whichever side caught the quietest scheduler moment, while medians
-    of interleaved blocks see the same machine.  A sparse rate is used
+    The sides run interleaved (scalar, batched, repeat) and each
+    records the *median* rep: a ratio of best-ofs rewards whichever
+    side caught the quietest scheduler moment, while medians of
+    interleaved blocks see the same machine.  A sparse rate is used
     deliberately — it keeps lanes convergent (eviction-free), which is
     the regime campaigns hunting coverage tails run in and where the
     lockstep amortization is fully visible.
@@ -333,9 +332,11 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
     import statistics
 
     from repro.campaign.spec import CampaignPoint
-    from repro.campaign.tasks import (_PROGRAM_CACHE, run_inject_batch,
-                                      run_inject_point)
-    from repro.core import segmemo
+    from repro.campaign.tasks import run_inject_batch, run_inject_point
+    from repro.perf.batch import DEFAULT_BATCH_LANES
+
+    if lanes is None:
+        lanes = DEFAULT_BATCH_LANES
 
     def grid(count, base_trial):
         return [CampaignPoint(task="inject", workload=workload,
@@ -344,44 +345,27 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
                                       "rng_key": f"{seed}/{workload}/{trial}"})
                 for trial in range(base_trial, base_trial + count)]
 
-    previous = os.environ.get("REPRO_NO_SEGMEMO")
-    scalar, scalar_memo, batched = [], [], []
+    scalar, batched = [], []
     evicted_total = lanes_total = 0
-    try:
-        # Warm everything both sides share: decoded program, steppers,
-        # and the segment-memo store (steady state for a campaign
-        # worker that processes many batches of one program).
-        os.environ["REPRO_NO_SEGMEMO"] = "0"
-        run_inject_point(grid(1, 0)[0], "bench-batch")
-        segmemo.clear()
-        run_inject_batch(grid(lanes, 1000), "bench-batch")
-        trial = 2000
-        for _ in range(reps):
-            os.environ["REPRO_NO_SEGMEMO"] = "1"
-            t0 = time.perf_counter()
-            for point in grid(scalar_points, trial):
-                _PROGRAM_CACHE.clear()
-                run_inject_point(point, "bench-batch")
-            scalar.append(scalar_points / (time.perf_counter() - t0))
-            trial += scalar_points
-            os.environ["REPRO_NO_SEGMEMO"] = "0"
-            t0 = time.perf_counter()
-            for point in grid(scalar_points, trial):
-                run_inject_point(point, "bench-batch")
-            scalar_memo.append(scalar_points / (time.perf_counter() - t0))
-            trial += scalar_points
-            t0 = time.perf_counter()
-            _, stats = run_inject_batch(grid(lanes, trial), "bench-batch")
-            batched.append(lanes / (time.perf_counter() - t0))
-            trial += lanes
-            if stats is not None:
-                evicted_total += sum(stats["evictions"].values())
-                lanes_total += stats["lanes"]
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_SEGMEMO", None)
-        else:
-            os.environ["REPRO_NO_SEGMEMO"] = previous
+    # Warm everything both sides share: the cached program, its
+    # decoded form and the steppers (steady state for a campaign
+    # worker that processes many points of one program).
+    run_inject_point(grid(1, 0)[0], "bench-batch")
+    run_inject_batch(grid(lanes, 1000), "bench-batch")
+    trial = 2000
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for point in grid(scalar_points, trial):
+            run_inject_point(point, "bench-batch")
+        scalar.append(scalar_points / (time.perf_counter() - t0))
+        trial += scalar_points
+        t0 = time.perf_counter()
+        _, stats = run_inject_batch(grid(lanes, trial), "bench-batch")
+        batched.append(lanes / (time.perf_counter() - t0))
+        trial += lanes
+        if stats is not None:
+            evicted_total += sum(stats["evictions"].values())
+            lanes_total += stats["lanes"]
     scalar_rate = statistics.median(scalar)
     batched_rate = statistics.median(batched)
     return {
@@ -392,7 +376,6 @@ def _bench_batch_kernel(workload, instructions, seed, lanes=64, reps=3,
         "reps": reps,
         "scalar_points": scalar_points,
         "scalar_points_per_s": scalar_rate,
-        "scalar_memo_points_per_s": statistics.median(scalar_memo),
         "batched_points_per_s": batched_rate,
         "batch_speedup": (batched_rate / scalar_rate if scalar_rate > 0
                           else 0.0),
@@ -544,8 +527,7 @@ def format_bench(result):
             f"batch kernel ({batch_kernel['workload']}, "
             f"{batch_kernel['lanes']} lanes, "
             f"rate {batch_kernel['rate']}): scalar "
-            f"{batch_kernel['scalar_points_per_s']:.2f} -> memo "
-            f"{batch_kernel['scalar_memo_points_per_s']:.2f} -> batched "
+            f"{batch_kernel['scalar_points_per_s']:.2f} -> batched "
             f"{batch_kernel['batched_points_per_s']:.2f} points/s "
             f"({batch_kernel['batch_speedup']:.2f}x, "
             f"{batch_kernel['eviction_rate']:.1%} evicted)")

@@ -19,7 +19,9 @@ quarter.  This module makes the trajectory itself visible:
 
 Only ratio/throughput metrics are recorded — the same ones
 :mod:`repro.perf.regress` floors — because they are what trends
-meaningfully across commits.
+meaningfully across commits.  A series is one metric under one bench
+config: a run with a different config (say, a new batch lane count)
+starts a new series instead of reading as a slope in the old one.
 """
 
 import json
@@ -52,6 +54,7 @@ def history_record(result, sha=None, unix=None):
     """Reduce one ``run_bench`` result to its trend-worthy metrics."""
     import time
 
+    batch_kernel = result.get("batch_kernel")
     record = {
         "schema": HISTORY_SCHEMA,
         "unix": time.time() if unix is None else unix,
@@ -59,6 +62,9 @@ def history_record(result, sha=None, unix=None):
         "config": {
             "instructions": result.get("config", {}).get("instructions"),
             "cores": result.get("config", {}).get("cores"),
+            "batch_kernel": ({key: batch_kernel.get(key) for key in
+                              ("workload", "instructions", "rate", "lanes")}
+                             if batch_kernel else None),
         },
         "metrics": {},
     }
@@ -140,6 +146,42 @@ def sparkline(values):
         for value in values)
 
 
+def _series_config(record, metric):
+    """The bench config ``metric``'s value in ``record`` was measured
+    under: the ``batch_kernel`` section's own config for its metrics,
+    the run config without that section for every other metric."""
+    config = record.get("config") or {}
+    if metric.startswith("batch_kernel/"):
+        return config.get("batch_kernel")
+    return {key: value for key, value in config.items()
+            if key != "batch_kernel"}
+
+
+def metric_series(records, skip_walls=False):
+    """``{label: [value, ...]}``, one series per (metric, bench config)
+    in first-seen order.  The label is the metric name, with the config
+    appended only when the metric was recorded under more than one."""
+    series = {}
+    for record in records:
+        for metric, value in (record.get("metrics") or {}).items():
+            if skip_walls and metric.endswith("/wall_s"):
+                continue
+            config = json.dumps(_series_config(record, metric),
+                                sort_keys=True)
+            series.setdefault((metric, config), []).append(value)
+    configs_per_metric = {}
+    for metric, _ in series:
+        configs_per_metric[metric] = configs_per_metric.get(metric, 0) + 1
+    labelled = {}
+    for (metric, config), values in series.items():
+        if configs_per_metric[metric] > 1:
+            scope = json.loads(config) or {}
+            metric = "{} [{}]".format(metric, ",".join(
+                f"{key}={value}" for key, value in sorted(scope.items())))
+        labelled[metric] = values
+    return labelled
+
+
 #: Runs a metric needs before the slope check judges it.
 TREND_MIN_RUNS = 4
 
@@ -158,15 +200,13 @@ def trend_violations(records, window=6, tolerance=0.15,
     ``tolerance``.  Metrics with fewer than ``min_runs`` recorded runs
     are skipped — one noisy pair of runs is not a trend.
 
+    Each (metric, bench config) pair is its own series
+    (:func:`metric_series`), so a config change is never a slope.
+
     Returns a list of dicts ``{"metric", "runs", "first", "latest",
     "fitted_decline"}``, empty when no slope regression.
     """
-    series = {}
-    for record in records:
-        for metric, value in (record.get("metrics") or {}).items():
-            if metric.endswith("/wall_s"):
-                continue
-            series.setdefault(metric, []).append(value)
+    series = metric_series(records, skip_walls=True)
     violations = []
     for metric, values in series.items():
         values = values[-window:]
@@ -219,20 +259,17 @@ def format_trend_violations(violations, runs, window=6, tolerance=0.15):
 def format_trend(records, last=20):
     """Render per-metric trajectories across the recorded runs.
 
-    Shows the trailing ``last`` runs per metric: sparkline,
-    first/latest value, and the relative change across the shown
-    window.  Metrics are ordered as first seen so related series stay
-    adjacent.
+    Shows the trailing ``last`` runs per series (one per metric and
+    bench config, :func:`metric_series`): sparkline, first/latest
+    value, and the relative change across the shown window.  Series
+    are ordered as first seen so related ones stay adjacent.
     """
     from repro.analysis.report import format_table
 
     if not records:
         return ("bench trend   : no history recorded yet "
                 "(run `repro bench` to start one)")
-    series = {}
-    for record in records:
-        for metric, value in (record.get("metrics") or {}).items():
-            series.setdefault(metric, []).append(value)
+    series = metric_series(records)
     rows = []
     for metric, values in series.items():
         values = values[-last:]

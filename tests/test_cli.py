@@ -247,6 +247,35 @@ class TestBenchTrend:
                 assert "insufficient history" not in out
                 assert "trend check   : OK" in out
 
+    def test_trend_series_keyed_by_bench_config(self, tmp_path, capsys):
+        """Records from different batch-kernel configs form separate
+        series: a lane-count change is a new series, not a slope."""
+        from repro.perf.history import (append_history, load_history,
+                                        metric_series, trend_violations)
+
+        history = tmp_path / "hist.jsonl"
+        for lanes, speedup in ((64, 2.2),) * 4 + ((32, 1.4),) * 4:
+            result = {"kernels": {"meek_speedup": 2.0},
+                      "batch_kernel": {"workload": "swaptions",
+                                       "instructions": 20_000,
+                                       "rate": 0.0005, "lanes": lanes,
+                                       "batch_speedup": speedup},
+                      "config": {"instructions": 20_000, "cores": 4}}
+            append_history(result, path=str(history), sha="abc1234")
+        records = load_history(str(history))
+        series = metric_series(records)
+        speedups = {label: values for label, values in series.items()
+                    if label.startswith("batch_kernel/batch_speedup")}
+        assert sorted(speedups.values()) == [[1.4] * 4, [2.2] * 4]
+        assert all("lanes=" in label for label in speedups)
+        # The config-independent metric still forms one series.
+        assert series["kernels/meek_speedup"] == [2.0] * 8
+        assert trend_violations(records) == []
+        assert main(["bench", "--trend", "--history", str(history)]) == 0
+        out = capsys.readouterr().out
+        assert "lanes=64" in out and "lanes=32" in out
+        assert "trend check   : OK" in out
+
 
 # -- the serve family: serve / submit / queue / cancel / watch-by-rid ------
 

@@ -2,10 +2,8 @@
 
 The batch kernel (:mod:`repro.perf.batch`) advances N fault-injection
 points in lockstep with SoA state, shared decode, and per-lane
-divergence eviction; the segment memo (:mod:`repro.core.segmemo`)
-skips re-executing clean checker replay bursts.  Both are pure
-performance layers: these tests hold every path **bit-identical** to
-the scalar kernel with both layers off — per-point metrics rows
+divergence eviction.  It is a pure performance layer: these tests hold
+every path **bit-identical** to the scalar kernel — per-point metrics rows
 (including injection/detection streams, latencies and coverage cells),
 persisted coverage.json artifacts, across every workload profile,
 every canonical fault model, forced mid-run evictions, batch widths
@@ -13,7 +11,6 @@ every canonical fault model, forced mid-run evictions, batch widths
 """
 
 import json
-import os
 
 import pytest
 
@@ -22,19 +19,16 @@ from repro.campaign.executor import (_batch_units, resolve_batch_lanes,
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.tasks import (_PROGRAM_CACHE, batch_group_key,
                                   run_inject_batch, run_inject_point)
-from repro.core import segmemo
 from repro.core.faults import CANONICAL_MODEL_SPECS
 from repro.workloads import all_profiles
 
 PROFILE_NAMES = [profile.name for profile in all_profiles()]
 
 
-def _fresh(monkeypatch, no_segmemo=False, no_batch=False):
+def _fresh(monkeypatch, no_batch=False):
     """Reset every cross-run cache the perf layers key on."""
-    monkeypatch.setenv("REPRO_NO_SEGMEMO", "1" if no_segmemo else "0")
     monkeypatch.setenv("REPRO_NO_BATCH", "1" if no_batch else "0")
     _PROGRAM_CACHE.clear()
-    segmemo.clear()
 
 
 def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
@@ -52,9 +46,9 @@ def _points(workload, trials, instructions=1_500, rate=0.01, seed=0,
 
 
 def _scalar_rows(points, monkeypatch):
-    """Reference rows: scalar kernel, memo off, caches cold per point —
-    the exact pre-batch campaign loop."""
-    _fresh(monkeypatch, no_segmemo=True)
+    """Reference rows: scalar kernel, caches cold per point — the exact
+    pre-batch campaign loop."""
+    _fresh(monkeypatch)
     rows = []
     for point in points:
         _PROGRAM_CACHE.clear()
@@ -90,20 +84,6 @@ def test_every_fault_model_batch_bit_identical(model_spec, monkeypatch):
     assert _batch_rows(points, monkeypatch) == scalar
 
 
-def test_scalar_memo_bit_identical(monkeypatch):
-    """The segment memo alone (scalar kernel) changes nothing — cold
-    store, then warm store on a second pass over the same points."""
-    points = _points("bodytrack", 4, instructions=2_500)
-    reference = _scalar_rows(points, monkeypatch)
-    _fresh(monkeypatch)
-    cold = [json.dumps(run_inject_point(p, "t"), sort_keys=True)
-            for p in points]
-    warm = [json.dumps(run_inject_point(p, "t"), sort_keys=True)
-            for p in points]
-    assert cold == reference
-    assert warm == reference
-
-
 @pytest.mark.parametrize("lanes", [1, 2, 7, 64])
 def test_batch_widths_bit_identical(lanes, monkeypatch):
     """Any grouping of the same 14 points produces the same rows."""
@@ -121,7 +101,7 @@ def test_batch_widths_bit_identical(lanes, monkeypatch):
 
 def test_forced_eviction_hook_bit_identical(monkeypatch):
     """Lanes forced out mid-run rerun scalar from cycle 0 — including
-    lane 0, the lane most likely to lead in-flight memo recordings."""
+    lane 0, whose big core donates the batch's shared state."""
     from repro.perf import batch as batch_kernel
 
     points = _points("dedup", 5, instructions=2_000)
@@ -177,7 +157,7 @@ class TestCampaignIntegration:
     def reference(self, monkeypatch, tmp_path):
         from repro.obs.live import LiveStatus
 
-        _fresh(monkeypatch, no_segmemo=True, no_batch=True)
+        _fresh(monkeypatch, no_batch=True)
         spec = self.spec()
         status = str(tmp_path / "ref.status.json")
         live = LiveStatus(spec.name, total=len(spec.points), path=status)

@@ -258,7 +258,8 @@ def test_run_bench_kernel_consistency_guard():
     """run_bench's kernel A/B asserts cycle equality between kernels —
     the bench itself is an equivalence check."""
     result = run_bench(workloads=("mcf",), instructions=1_200, repeat=1,
-                       figures=(), kernels=True, batch_kernel=False)
+                       figures=(), kernels=True, warm_start=False,
+                       campaign=False, batch_kernel=False)
     kernels = result["kernels"]
     assert kernels["fast_meek_s"] > 0 and kernels["slow_meek_s"] > 0
     assert kernels["meek_speedup"] == (kernels["slow_meek_s"]
@@ -279,8 +280,7 @@ def test_run_bench_batch_kernel_section():
     section = result["batch_kernel"]
     assert set(section) == {
         "workload", "instructions", "rate", "lanes", "reps",
-        "scalar_points", "scalar_points_per_s", "scalar_memo_points_per_s",
-        "batched_points_per_s", "batch_speedup", "eviction_rate",
-        "soa_lane_backend"}
+        "scalar_points", "scalar_points_per_s", "batched_points_per_s",
+        "batch_speedup", "eviction_rate", "soa_lane_backend"}
     assert section["workload"] == "mcf"
     assert section["batched_points_per_s"] > 0
