@@ -84,6 +84,21 @@ def test_every_fault_model_batch_bit_identical(model_spec, monkeypatch):
     assert _batch_rows(points, monkeypatch) == scalar
 
 
+def test_scalar_warm_program_cache_bit_identical(monkeypatch):
+    """The scalar kernel with the shared program cache kept across
+    points (the bench's scalar baseline) changes nothing — cold cache,
+    then warm cache on a second pass over the same points."""
+    points = _points("bodytrack", 4, instructions=2_500)
+    reference = _scalar_rows(points, monkeypatch)
+    _fresh(monkeypatch)
+    cold = [json.dumps(run_inject_point(p, "t"), sort_keys=True)
+            for p in points]
+    warm = [json.dumps(run_inject_point(p, "t"), sort_keys=True)
+            for p in points]
+    assert cold == reference
+    assert warm == reference
+
+
 @pytest.mark.parametrize("lanes", [1, 2, 7, 64])
 def test_batch_widths_bit_identical(lanes, monkeypatch):
     """Any grouping of the same 14 points produces the same rows."""
