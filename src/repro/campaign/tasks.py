@@ -10,6 +10,8 @@ tasks below, and tests register throwaway tasks (the executor looks
 tasks up by name at evaluation time).
 """
 
+import functools
+import gc
 from dataclasses import replace
 
 from repro.common.errors import ConfigError
@@ -23,6 +25,34 @@ def task(name):
         TASKS[name] = fn
         return fn
     return register
+
+
+def gc_suspended(fn):
+    """Decorator: run ``fn`` with the cyclic garbage collector off.
+
+    A simulation point frees everything it allocates by reference
+    counting (``tests/test_perf_equivalence.py`` holds every built-in
+    simulation task to that), so a collection triggered mid-point finds
+    nothing and only rescans the long-lived program cache.  The scope is
+    the whole point, not just the kernel loop: system construction and
+    program generation allocate enough to trigger collections too.
+
+    Only a call that found the collector on turns it back on, so nested
+    calls, callers that disabled it themselves and points evaluated on
+    helper threads are all left as they were.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        try:
+            # Inside the try: a SIGALRM timeout raised as soon as
+            # disable() returns must still reach the finally.
+            gc.disable()
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
 
 
 def get_task(name):
@@ -117,6 +147,7 @@ def _meek_metrics(result):
 # -- built-in simulation tasks --------------------------------------------
 
 @task("vanilla")
+@gc_suspended
 def run_vanilla_point(point, campaign_name=""):
     """Unmodified big core: the slowdown denominator."""
     from repro.core.system import run_vanilla
@@ -126,6 +157,7 @@ def run_vanilla_point(point, campaign_name=""):
 
 
 @task("meek")
+@gc_suspended
 def run_meek_point(point, campaign_name=""):
     """One MEEK execution (params select cores/fabric/ablation knobs)."""
     from repro.core.system import MeekSystem
@@ -163,6 +195,7 @@ def _inject_metrics(result, injector):
 
 
 @task("inject")
+@gc_suspended
 def run_inject_point(point, campaign_name=""):
     """One fault-injection trial through the genuine checking machinery.
 
@@ -205,6 +238,7 @@ def batch_group_key(point):
     return (point.workload, point.instructions, point.seed, shared)
 
 
+@gc_suspended
 def run_inject_batch(points, campaign_name=""):
     """Evaluate same-program inject points as one lockstep batch.
 
@@ -243,6 +277,7 @@ def run_inject_batch(points, campaign_name=""):
 
 
 @task("lockstep")
+@gc_suspended
 def run_lockstep_point(point, campaign_name=""):
     """Equivalent-Area LockStep baseline (Sec. V-A)."""
     from repro.baselines.lockstep import EaLockstep
@@ -252,6 +287,7 @@ def run_lockstep_point(point, campaign_name=""):
 
 
 @task("nzdc")
+@gc_suspended
 def run_nzdc_point(point, campaign_name=""):
     """Nzdc software baseline (callers skip its compile failures)."""
     from repro.baselines.nzdc import run_nzdc
@@ -261,6 +297,7 @@ def run_nzdc_point(point, campaign_name=""):
 
 
 @task("little_ipc")
+@gc_suspended
 def run_little_ipc_point(point, campaign_name=""):
     """Little-core throughput for Fig. 10 (``core`` selects the config)."""
     from repro.analysis.area import LITTLE_WRAPPER_AREA_MM2, rocket_area_mm2
@@ -333,6 +370,7 @@ def run_cli_point(point, campaign_name=""):
 
 
 @task("difftest")
+@gc_suspended
 def run_difftest_point(point, campaign_name=""):
     """One differential-fuzzing point: generate a constrained-random
     program from the point's RNG identity and execute it on every

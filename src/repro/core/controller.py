@@ -59,12 +59,12 @@ class MeekController:
             for i in range(width)]
         self._num_buffers = len(self.dc_buffers)
         # getattr: tests drive the controller with duck-typed injectors
-        # that predate the dcbuf/fabric targets.
-        if getattr(injector, "wants_dcbuf", False):
-            for buffer in self.dc_buffers:
-                buffer.fault_hook = self._dcbuf_fault
-        if getattr(injector, "wants_fabric", False):
-            fabric.fault_hook = self._fabric_fault
+        # that predate the dcbuf/fabric targets.  The controller calls
+        # these injection points itself: a bound method stored on a
+        # buffer or fabric it owns would make every run a reference
+        # cycle, and simulation points run with the cyclic GC off.
+        self._dcbuf_faults = getattr(injector, "wants_dcbuf", False)
+        self._fabric_faults = getattr(injector, "wants_fabric", False)
         self.segments = []
         self.active = None
         self.checkers = {}          # seg_id -> CheckerRun
@@ -116,7 +116,7 @@ class MeekController:
             self.injector.maybe_inject_status(snapshot, cycle, seg_id=0)
         packet = Packet(PacketKind.STATUS, snapshot, seg_id=0,
                         created_cycle=cycle, dests=(self._next_core,))
-        report = self.fabric.send(packet, cycle)
+        report = self._send_status(packet, cycle)
         self._pending_srcp = (snapshot,
                               report.delivery_times[self._next_core])
         self._initialized = True
@@ -181,9 +181,14 @@ class MeekController:
                     seg.injected = True
             accept_times, delivery = self.fabric.send_runtime(
                 seg.assigned_core, t)
+            if self._dcbuf_faults:
+                # The upset hits the record while it sits buffered.
+                record = self.injector.maybe_inject_dcbuf(entry, t,
+                                                          seg.seg_id)
+                if record is not None:
+                    seg.injected = True
             buffer = self.dc_buffers[slot % self._num_buffers]
-            stall_until = buffer.push("runtime", accept_times, t,
-                                      payload=entry)
+            stall_until = buffer.push("runtime", accept_times, t)
             if stall_until > t:
                 self.stall_cycles[StallReason.FORWARDING] += stall_until - t
                 t = stall_until
@@ -235,19 +240,14 @@ class MeekController:
 
     # -- internals -------------------------------------------------------------
 
-    def _dcbuf_fault(self, channel, payload, now):
-        """DC-Buffer fault hook: corrupt a buffered run-time record."""
-        if channel == "runtime" and self.active is not None:
-            record = self.injector.maybe_inject_dcbuf(
-                payload, now, self.active.seg_id)
-            if record is not None:
+    def _send_status(self, packet, now):
+        """Send a status packet, exposing its in-flight payload to
+        fabric faults first."""
+        if self._fabric_faults:
+            record = self.injector.maybe_inject_fabric(packet, now)
+            if record is not None and self.active is not None:
                 self.active.injected = True
-
-    def _fabric_fault(self, packet, now):
-        """Fabric fault hook: corrupt an in-flight status payload."""
-        record = self.injector.maybe_inject_fabric(packet, now)
-        if record is not None and self.active is not None:
-            self.active.injected = True
+        return self.fabric.send(packet, now)
 
     def _lsl_credit_full(self, seg, now):
         """LSL-full RCP trigger, credit-based: entries sent minus
@@ -306,7 +306,7 @@ class MeekController:
             dests = (seg.assigned_core,)
         packet = Packet(PacketKind.STATUS, snapshot, seg.seg_id, t,
                         dests=dests)
-        report = self.fabric.send(packet, t)
+        report = self._send_status(packet, t)
         buffer = self.dc_buffers[commit_slot % self._num_buffers]
         stall_until = buffer.push("status", report.accept_times, t)
         if stall_until > t:

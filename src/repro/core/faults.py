@@ -19,9 +19,8 @@ and generalizes it into a pluggable **fault model** layer:
   every subsequent forwarded packet for the rest of the run.
 
 Faults land on the *transmitted copies* of run-time records and status
-snapshots — or, through the :class:`~repro.fabric.dcbuffer.DcBufferModel`
-and :class:`~repro.fabric.base.ForwardingFabric` fault hooks, on
-payloads traversing the DC-Buffer and fabric paths — leaving the big
+snapshots — or, through the controller's DC-Buffer and fabric
+injection points, on payloads traversing those paths — leaving the big
 core's architectural state untouched.  Detection then happens (or not)
 through the normal checking machinery, and the campaign records
 injection-to-detection latency per structure and per model (see
@@ -587,9 +586,9 @@ class FaultInjector:
     def maybe_inject_dcbuf(self, entry, cycle, seg_id):
         """Possibly corrupt a run-time record waiting in the DC-Buffer.
 
-        Reached through the :class:`~repro.fabric.dcbuffer.DcBufferModel`
-        fault hook — the record was already captured correctly by the
-        DEU; the upset happens while it sits buffered for the fabric.
+        Called by the controller as the record enters the DC-Buffer —
+        the record was already captured correctly by the DEU; the
+        upset happens while it sits buffered for the fabric.
         """
         if self._stuck_lines:
             self._force_runtime(entry, (FaultTarget.DCBUF_RUNTIME,))
@@ -618,8 +617,8 @@ class FaultInjector:
     def maybe_inject_fabric(self, packet, cycle):
         """Possibly corrupt a status checkpoint traversing the fabric.
 
-        Reached through the :class:`~repro.fabric.base.ForwardingFabric`
-        fault hook; corrupts one register lane of the in-flight
+        Called by the controller just before the packet enters the
+        fabric; corrupts one register lane of the in-flight
         :class:`~repro.fabric.packets.StatusSnapshot` payload.
         """
         snapshot = packet.payload

@@ -2,8 +2,8 @@
 
 Each module exposes ``run(...)`` returning structured rows and a
 ``format_results(...)`` that renders the same table/series the paper
-reports.  The benchmark harness under ``benchmarks/`` wraps these with
-pytest-benchmark.  Each module's docstring states the paper's values
+reports.  ``repro figure`` runs them and ``repro bench`` times them.
+Each module's docstring states the paper's values
 for its figure or table; there is no separate paper-vs-measured
 record yet.
 """

@@ -36,10 +36,6 @@ class ForwardingFabric:
         self.flits_carried = 0
         self.packets_carried = 0
         self.busy_time = 0.0
-        #: Fault-injection hook ``(packet, now)`` — installed by the
-        #: controller when a campaign targets ``fabric.status``;
-        #: corrupts the in-flight payload without touching timing.
-        self.fault_hook = None
 
     # -- hooks for subclasses -------------------------------------------
 
@@ -65,8 +61,6 @@ class ForwardingFabric:
 
     def send(self, packet, now):
         """Accept ``packet`` starting at ``now``; return the report."""
-        if self.fault_hook is not None:
-            self.fault_hook(packet, now)
         flits = packet.flit_count(self.config.width_bits)
         transfers = self._transfers_for(packet)
         interval = self._slot_interval()

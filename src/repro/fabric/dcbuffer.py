@@ -22,10 +22,6 @@ class DcBufferModel:
         self._depths = {"status": status_depth, "runtime": runtime_depth}
         self.stall_cycles = 0
         self.flits_pushed = {"status": 0, "runtime": 0}
-        #: Fault-injection hook ``(channel, payload, now)`` — installed
-        #: by the controller when a campaign targets ``dcbuf.runtime``;
-        #: corrupts the buffered payload without touching timing.
-        self.fault_hook = None
 
     def _purge(self, channel, now):
         queue = self._queues[channel]
@@ -37,18 +33,14 @@ class DcBufferModel:
         self._purge(channel, now)
         return len(self._queues[channel])
 
-    def push(self, channel, accept_times, now, payload=None):
+    def push(self, channel, accept_times, now):
         """Buffer flits whose fabric-accept times are ``accept_times``.
 
         Returns the earliest cycle at which the *pushing commit* may
         proceed: ``now`` if there is room, otherwise the cycle when
         the overflow has drained.  Accept times must be sorted
-        (the fabric hands them out in order).  ``payload`` is the
-        buffered record, exposed to the fault hook only — occupancy
-        tracking stays flit-times-only.
+        (the fabric hands them out in order).
         """
-        if self.fault_hook is not None and payload is not None:
-            self.fault_hook(channel, payload, now)
         self._purge(channel, now)
         queue = self._queues[channel]
         depth = self._depths[channel]

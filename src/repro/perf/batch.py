@@ -25,7 +25,7 @@ occupancy windows as deques of lane-vectors, functional-unit pools as
 trap — are absorbed with vector arithmetic against the controllers'
 inline-budget cells.  Python executes per-lane only where lanes
 genuinely differ: log-producing commits (the MEEK hook, where each
-lane's own controller/fabric/injector runs, so fault hooks fire
+lane's own controller/fabric/injector runs, so faults land
 per-lane), cache misses (per-lane DRAM window and L1 MSHR queueing),
 and the final trap.
 
@@ -244,7 +244,7 @@ class _BatchEngine:
         self.state = ArchState(pc=program.entry_pc)
         program.data.apply(self.state.memory)
         # Per-lane systems: controller, fabric, pipelines, DEU and
-        # injector are all genuinely per-lane (fault hooks fire
+        # injector are all genuinely per-lane (faults land
         # per-lane); the big core contributes the lane's private
         # DRAM/MSHR queueing state.  Lane 0's big core additionally
         # donates the *shared* tag state, predictor and FU tables —

@@ -7,6 +7,7 @@ The three contract tests the subsystem was built around:
 * a worker exception is a failed point, not a crashed campaign.
 """
 
+import gc
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from repro.campaign import (
     run_campaign,
     task,
 )
+from repro.campaign.tasks import gc_suspended
 from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.common.prng import DeterministicRng
@@ -592,3 +594,95 @@ class TestBatchGuardAlarm:
             assert handler == before
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
         assert signal.getsignal(signal.SIGALRM) == before
+
+
+# -- the cyclic GC is suspended for a point's evaluation --------------------
+
+GC_SEEN = []
+
+
+@task("test_gc_probe")
+@gc_suspended
+def _gc_probe_task(point, campaign_name=""):
+    GC_SEEN.append(gc.isenabled())
+    if point.params.get("nested"):
+        _gc_probe_task(CampaignPoint(task="test_gc_probe"))
+        GC_SEEN.append(gc.isenabled())
+    if point.params.get("explode"):
+        raise ValueError("intentional failure")
+    if point.params.get("sleep_s"):
+        import time
+        time.sleep(point.params["sleep_s"])
+    return {"value": 1}
+
+
+class TestGcSuspended:
+    @pytest.fixture(autouse=True)
+    def _gc_restored(self):
+        GC_SEEN.clear()
+        yield
+        gc.enable()
+
+    def test_suspended_inside_a_returning_task(self):
+        assert _gc_probe_task(CampaignPoint(task="test_gc_probe")) == {
+            "value": 1}
+        assert GC_SEEN == [False]
+        assert gc.isenabled()
+
+    def test_reenabled_after_a_raising_task(self):
+        with pytest.raises(ValueError):
+            _gc_probe_task(CampaignPoint(task="test_gc_probe",
+                                         params={"explode": True}))
+        assert GC_SEEN == [False]
+        assert gc.isenabled()
+
+    def test_reenabled_after_a_point_timeout(self):
+        import signal
+
+        from repro.campaign import work
+
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("platform has no SIGALRM")
+        point = CampaignPoint(task="test_gc_probe", params={"sleep_s": 5.0})
+        result = work.evaluate_guarded(point, 0, "c", 0.2, "w0")
+        assert result.ok is False
+        assert PointTimeout.__name__ in result.error
+        assert GC_SEEN == [False]
+        assert gc.isenabled()
+
+    def test_caller_that_disabled_gc_keeps_it_disabled(self):
+        gc.disable()
+        _gc_probe_task(CampaignPoint(task="test_gc_probe"))
+        assert not gc.isenabled()
+
+    def test_nested_calls_reenable_only_at_the_outer_exit(self):
+        _gc_probe_task(CampaignPoint(task="test_gc_probe",
+                                     params={"nested": True}))
+        assert GC_SEEN == [False, False, False]
+        assert gc.isenabled()
+
+    def test_cli_task_runs_with_gc_enabled(self, monkeypatch):
+        import repro.cli
+
+        def spy(args):
+            GC_SEEN.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(repro.cli, "cli_handlers",
+                            lambda: {"list": spy})
+        [metrics] = run_campaign(
+            CampaignSpec(name="cli", points=[CampaignPoint(
+                task="cli", params={"command": "list"})]),
+            jobs=1).metrics()
+        assert metrics["status"] == 0
+        assert GC_SEEN == [True]
+
+    def test_simulation_tasks_are_suspended(self):
+        from repro.campaign.tasks import TASKS, run_inject_batch
+
+        suspended = {name for name, fn in TASKS.items()
+                     if hasattr(fn, "__wrapped__")}
+        assert suspended >= {"vanilla", "meek", "inject", "lockstep",
+                             "nzdc", "little_ipc", "difftest"}
+        assert not suspended & {"cli", "tab3"}
+        assert hasattr(run_inject_batch, "__wrapped__")

@@ -1,6 +1,6 @@
 """Smoke + shape tests for the experiment drivers (small inputs).
 
-The full-size regenerations live in ``benchmarks/``; here we verify the
+Full-size regenerations run through ``repro figure``; here we verify the
 drivers run end-to-end, produce well-formed rows, and keep the paper's
 qualitative orderings even at reduced scale.
 """

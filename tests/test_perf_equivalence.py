@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import types
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -310,6 +311,84 @@ def test_replay_table_shared_by_every_batch_lane(monkeypatch):
 
     monkeypatch.setattr(jit, "build_replay_steps", build)
     assert _replay_garbage(_collect_saved_garbage(_inject_batch)) == []
+
+
+def _point(task, workload="dedup", instructions=1_500, **params):
+    from repro.campaign.spec import CampaignPoint
+    return CampaignPoint(task=task, workload=workload,
+                         instructions=instructions, seed=0, params=params)
+
+
+def _cycle_free_params():
+    """One point per shape each simulation task can run in, on each
+    kernel."""
+    cases = [("vanilla", _point("vanilla"))]
+    cases += [(f"meek-{cores}-{fabric}",
+               _point("meek", cores=cores, fabric=fabric))
+              for cores in (2, 4, 6) for fabric in ("f2", "axi")]
+    cases += [(f"inject-{model}-{targets}",
+               _point("inject", rate=0.05, fault_model=model,
+                      fault_targets=targets))
+              for model in CANONICAL_MODEL_SPECS
+              for targets in ("runtime", "status", "dcbuf", "fabric", "all")]
+    cases += [("lockstep", _point("lockstep")),
+              ("nzdc", _point("nzdc")),
+              ("little_ipc", _point("little_ipc", core="optimized")),
+              ("difftest", _point("difftest", workload="fuzz", index=0))]
+    params = []
+    for name, point in cases:
+        for slow in (False, True):
+            kernel = "slow" if slow else "fast"
+            # The quick CI job guards the invariant on the case that
+            # reaches the DC-Buffer and fabric injection points.
+            marks = (pytest.mark.quick
+                     if name == "inject-single-all" and not slow else ())
+            params.append(pytest.param(point, slow, marks=marks,
+                                       id=f"{name}-{kernel}"))
+    return params
+
+
+def _garbage_types(garbage):
+    """``{type name: count}`` of ``garbage`` — a readable failure."""
+    return Counter(type(obj).__name__ for obj in garbage)
+
+
+@pytest.mark.parametrize("point,slow", _cycle_free_params())
+def test_simulation_points_leave_no_cyclic_garbage(point, slow,
+                                                    monkeypatch):
+    """Every simulation task frees its point by reference counting.
+
+    The tasks run with the cyclic GC suspended
+    (:func:`repro.campaign.tasks.gc_suspended`), which is only free
+    while nothing they allocate forms a cycle.  The first call warms
+    the program, decode and stepper caches, which legitimately outlive
+    the point."""
+    from repro.campaign.tasks import evaluate_point
+
+    _set_kernel(monkeypatch, slow)
+    evaluate_point(point)
+    garbage = _collect_saved_garbage(lambda: evaluate_point(point))
+    assert _garbage_types(garbage) == {}
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
+def test_inject_batch_leaves_no_cyclic_garbage(slow, monkeypatch):
+    """A 32-lane lockstep batch (a scalar rerun on the slow kernel),
+    with every fault target armed, is freed by reference counting."""
+    from repro.campaign.tasks import run_inject_batch
+
+    _set_kernel(monkeypatch, slow)
+    monkeypatch.setenv("REPRO_NO_BATCH", "0")
+    points = [_point("inject", rate=0.02, trial=trial, fault_targets="all",
+                     rng_key=f"0/dedup/{trial}")
+              for trial in range(32)]
+
+    def run():
+        _, stats = run_inject_batch(points, "t")
+        assert (stats is None) if slow else (stats["lanes"] == 32)
+
+    run()
+    assert _garbage_types(_collect_saved_garbage(run)) == {}
 
 
 def test_two_little_core_configs_get_distinct_tables(monkeypatch):
