@@ -11,7 +11,7 @@ This module is the *planning* layer of a three-layer split:
 * :mod:`repro.campaign.sched` — the pure scheduler core: chunk
   leasing, lease epochs/expiry, batch-unit grouping, result folding.
 * :mod:`repro.campaign.transport` — pluggable transports carrying
-  chunks to evaluators: the forked local
+  chunks to runners: the forked local runners of a
   :class:`~repro.campaign.pool.WorkerPool`
   (:class:`~repro.campaign.transport.LocalPoolTransport`) or remote
   ``repro runner`` processes over TCP
@@ -46,7 +46,6 @@ from repro.campaign.sched import batch_units as _batch_units  # noqa: F401
 from repro.campaign.work import (CampaignAborted,  # noqa: F401
                                  PointTimeout, evaluate_units)
 from repro.obs.events import event_log
-from repro.obs.metrics import get_registry
 
 _evaluate_units = evaluate_units  # pre-split private name
 
@@ -185,8 +184,7 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
                       "this platform); points run unbounded",
                       RuntimeWarning, stacklevel=2)
     done = {}
-    corrupt_counter = get_registry().counter("store.corrupt_rows_skipped")
-    corrupt_before = corrupt_counter.value
+    corrupt_skipped = 0
     if resume_from is not None and os.path.exists(resume_from):
         stored = ResultStore.load(resume_from)
         for index, point in enumerate(spec.points):
@@ -194,7 +192,7 @@ def run_campaign(spec, jobs=None, store=None, resume_from=None,
             if previous is not None and previous.ok:
                 previous.index = index  # realign with this spec's order
                 done[index] = previous
-    corrupt_skipped = corrupt_counter.value - corrupt_before
+        corrupt_skipped = stored.corrupt_rows_skipped
     pending = [(i, p) for i, p in enumerate(spec.points) if i not in done]
     log.emit("campaign_start", campaign=spec.name,
              points=len(spec.points), pending=len(pending),

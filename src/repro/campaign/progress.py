@@ -10,15 +10,12 @@ clock (:class:`repro.obs.metrics.RateWindow`), not a lifetime
 average: long campaigns with slow tails used to show a stale,
 flattering points/s that barely moved while the run crawled.  The
 window rate — and the ETA derived from it — tracks the current pace.
-Counts are also routed into the process metrics registry
-(``campaign.points_completed`` / ``campaign.points_failed``) so the
-observability layer sees them without a second bookkeeper.
 """
 
 import sys
 import time
 
-from repro.obs.metrics import RateWindow, get_registry
+from repro.obs.metrics import RateWindow
 
 
 class ProgressReporter:
@@ -37,17 +34,11 @@ class ProgressReporter:
         self._start = clock()
         self._last_print = None
         self._window = RateWindow(rate_window_s, clock=clock)
-        registry = get_registry()
-        self._completed_counter = registry.counter(
-            "campaign.points_completed")
-        self._failed_counter = registry.counter("campaign.points_failed")
 
     def __call__(self, result):
         self.completed += 1
-        self._completed_counter.inc()
         if not result.ok:
             self.failed += 1
-            self._failed_counter.inc()
         now = self._clock()
         self._window.tick(1, now=now)
         finished = self.completed >= self.total

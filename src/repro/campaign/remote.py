@@ -1,37 +1,41 @@
-"""Remote campaign runners: register, heartbeat, lease, stream rows.
+"""Campaign runners: register, heartbeat, lease, stream rows.
 
-The multi-host half of the transport layer (ARTIQ's controller-manager
-register/heartbeat/restart pattern, adapted to work-stealing):
+The one worker protocol of the transport layer (ARTIQ's
+controller-manager register/heartbeat/restart pattern, adapted to
+work-stealing), spoken by every evaluator that is not the serial path:
 
 * :class:`RunnerHub` — the master-side registry of runner processes.
-  Socket-agnostic: connection threads (the TCP listener below, or the
-  ``repro serve`` Unix-socket client loop) call
+  Socket-agnostic: connection threads (:func:`serve_connection`, or
+  the ``repro serve`` Unix-socket client loop) call
   :meth:`~RunnerHub.register` / :meth:`~RunnerHub.lease` /
   :meth:`~RunnerHub.row` / :meth:`~RunnerHub.heartbeat` and report
   disconnects via :meth:`~RunnerHub.lost_channel`.  While a campaign
   executes, a :class:`Drive` is attached and leases flow; between
-  campaigns runners idle on empty leases.
-* :class:`RunnerListener` — a TCP accept loop speaking the
-  line-JSON protocol of :mod:`repro.serve.protocol` on a
-  host:port.  **Security note: the listener does no authentication —
-  bind it only on interfaces you trust (loopback or a private
-  cluster network).**  Runner loss is detected the moment the
-  connection drops; the hub releases its leases for immediate
-  requeue.
-* :func:`run_runner` — the ``repro runner --connect`` client loop:
-  connect, register, lease chunks, evaluate them with the same
-  :func:`~repro.campaign.work.evaluate_units` loop every other
-  transport uses, and stream the result rows back (pipelined, one
-  response drain per chunk).  Reconnects with backoff when the master
-  goes away, so a restarted master gets its fleet back without anyone
-  touching the runner hosts.
+  campaigns an idle lease waits (at most :data:`LEASE_WAIT_S`) for
+  the next drive.
+* :func:`serve_connection` — the master side of one runner
+  connection, line-JSON over any stream socket: a TCP connection
+  accepted by :class:`RunnerListener` or a socketpair end of a local
+  runner forked by :class:`~repro.campaign.pool.WorkerPool`.
+  **Security note: the TCP listener does no authentication — bind it
+  only on interfaces you trust (loopback or a private cluster
+  network).**  Runner loss is detected the moment the connection
+  drops; the hub releases its leases for immediate requeue.
+* :func:`serve_leases` — the runner side: lease chunks, evaluate them
+  with the same :func:`~repro.campaign.work.evaluate_units` loop every
+  transport uses, and stream the result rows back (pipelined, replies
+  drained in batches).  :func:`run_runner` (``repro runner
+  --connect``) wraps it with connect/register and reconnects with
+  backoff when the master goes away, so a restarted master gets its
+  fleet back without anyone touching the runner hosts.
 
 Determinism: a runner evaluates points with the same per-point
-deterministic RNG as a local shard — rows are pure functions of point
-identity — so any mixture of runners and local shards produces
-byte-identical metrics rows and ``coverage.json``.
+deterministic RNG as the serial path — rows are pure functions of
+point identity — so any mixture of runners produces byte-identical
+metrics rows and ``coverage.json``.
 """
 
+import itertools
 import os
 import socket
 import threading
@@ -50,6 +54,8 @@ __all__ = [
     "handle_runner_method",
     "parse_address",
     "run_runner",
+    "serve_connection",
+    "serve_leases",
 ]
 
 
@@ -70,33 +76,44 @@ def parse_address(address):
 class Drive:
     """Thread-safe shim between connection threads and the scheduler.
 
-    Owned by :class:`~repro.campaign.transport.TcpRunnerTransport` for
-    the duration of one campaign.  Connection threads lease and record
-    under the lock; deliverables queue up and are drained — and their
-    callbacks run — only on the transport's main loop, so store
-    appends, live status, and progress callbacks never race.
+    Owned by the transport main loop for the duration of one campaign
+    and attached to every hub that feeds it.  Connection threads lease
+    and record under the lock; deliverables queue up and are drained —
+    and their callbacks run — only on the main loop, so store appends,
+    live status, and progress callbacks never race.  Waits are
+    event-driven: a folded row or a lost runner wakes the main loop
+    (:meth:`wait`), a requeue or :meth:`close` wakes idle leases.
     """
 
     def __init__(self, sched, campaign_name, timeout_s=None,
                  batch_lanes=1):
         self._sched = sched
         self._lock = threading.Lock()
+        self._news = threading.Condition(self._lock)
+        self._work = threading.Condition(self._lock)
+        self._stirred = False
         self._deliverables = []
+        self.closed = False
         self.campaign_name = campaign_name
         self.timeout_s = timeout_s
         self.batch_lanes = batch_lanes
 
     # -- leasing (any thread) ----------------------------------------------
 
-    def lease(self, owner):
+    def lease_payload(self, owner, deadline):
+        """Lease a chunk and serialize it for the wire; waits until
+        ``deadline`` (monotonic) for a requeue when the queue is empty,
+        and returns ``None`` on timeout or once the drive closes."""
         with self._lock:
-            return self._sched.lease(owner, now=time.monotonic())
-
-    def lease_payload(self, owner):
-        """Lease a chunk and serialize it for the wire (or ``None``)."""
-        chunk = self.lease(owner)
-        if chunk is None:
-            return None
+            while True:
+                now = time.monotonic()
+                chunk = (None if self.closed
+                         else self._sched.lease(owner, now=now))
+                if chunk is not None:
+                    break
+                if self.closed or now >= deadline:
+                    return None
+                self._work.wait(deadline - now)
         return {
             "chunk": chunk.chunk_id,
             "epoch": chunk.epoch,
@@ -107,14 +124,26 @@ class Drive:
                        for index, point in chunk.pairs],
         }
 
+    def _stir(self):
+        self._stirred = True
+        self._news.notify()
+
     def record(self, chunk_id, epoch, row):
         with self._lock:
+            if self.closed:
+                return
             self._deliverables.extend(
                 self._sched.record(chunk_id, epoch, row))
+            self._stir()
 
     def release(self, owner):
+        """A runner is gone: requeue its leases and wake the main loop
+        (which re-counts the fleet) and any idle lease."""
         with self._lock:
-            return self._sched.release(owner)
+            requeued = self._sched.release(owner)
+            self._work.notify_all()
+            self._stir()
+            return requeued
 
     def renew(self, owner):
         with self._lock:
@@ -122,14 +151,20 @@ class Drive:
 
     def expire(self, now):
         with self._lock:
-            return self._sched.expire(now)
-
-    def leased_by(self, owner):
-        with self._lock:
-            return sum(1 for chunk in self._sched.leased.values()
-                       if chunk.owner == owner)
+            expired = self._sched.expire(now)
+            if expired:
+                self._work.notify_all()
+            return expired
 
     # -- folding (transport main loop) -------------------------------------
+
+    def wait(self, timeout):
+        """Block until a row folds or a runner is lost, at most
+        ``timeout`` seconds."""
+        with self._lock:
+            if not self._stirred:
+                self._news.wait(timeout)
+            self._stirred = False
 
     def drain(self):
         with self._lock:
@@ -140,6 +175,12 @@ class Drive:
     def fail_lost(self):
         with self._lock:
             return self._sched.fail_lost()
+
+    def close(self):
+        """End the campaign: idle leases return, late rows drop."""
+        with self._lock:
+            self.closed = True
+            self._work.notify_all()
 
     def results(self):
         with self._lock:
@@ -156,12 +197,21 @@ class Drive:
             return self._sched.completed
 
 
+#: How long an idle ``runner_lease`` waits for work (a drive attaching
+#: or a chunk requeuing) before it returns ``None``.
+LEASE_WAIT_S = 1.0
+
+#: Runner ids are unique per process, so lease owners never collide
+#: when one drive is attached to several hubs.
+_runner_ids = itertools.count(1)
+
+
 class _Runner:
     """Master-side record of one registered runner process."""
 
     __slots__ = ("runner_id", "name", "pid", "slots", "channel",
                  "alive", "connected_unix", "last_seen_unix",
-                 "points", "chunks")
+                 "points", "chunks", "drive")
 
     def __init__(self, runner_id, name, pid, slots, channel):
         self.runner_id = runner_id
@@ -174,15 +224,18 @@ class _Runner:
         self.last_seen_unix = self.connected_unix
         self.points = 0
         self.chunks = 0
+        #: The drive this runner last leased from: its rows fold there
+        #: (a straggler of a finished campaign never reaches the next).
+        self.drive = None
 
 
 class RunnerHub:
-    """Registry of remote runners + the campaign drive they feed."""
+    """Registry of runners + the campaign drive they feed."""
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._attached = threading.Condition(self._lock)
         self._runners = {}
-        self._next_id = 1
         self._drive = None
 
     # -- drive attachment (transport main loop) ----------------------------
@@ -190,6 +243,7 @@ class RunnerHub:
     def attach(self, drive):
         with self._lock:
             self._drive = drive
+            self._attached.notify_all()
 
     def detach(self):
         with self._lock:
@@ -202,10 +256,9 @@ class RunnerHub:
     # -- runner lifecycle (connection threads) -----------------------------
 
     def register(self, channel, name=None, pid=None, slots=None):
+        runner_id = next(_runner_ids)
+        runner = _Runner(runner_id, name, pid, slots, channel)
         with self._lock:
-            runner_id = self._next_id
-            self._next_id += 1
-            runner = _Runner(runner_id, name, pid, slots, channel)
             self._runners[runner_id] = runner
         event_log().emit("runner_register", runner=runner_id,
                          name=runner.name, pid=pid, slots=runner.slots)
@@ -223,18 +276,32 @@ class RunnerHub:
         return runner
 
     def lease(self, runner_id):
+        """The next chunk for ``runner_id``, waiting up to
+        :data:`LEASE_WAIT_S` for a drive to attach or a chunk to
+        requeue; ``None`` if no work turned up in time."""
+        deadline = time.monotonic() + LEASE_WAIT_S
         with self._lock:
             runner = self._touch(runner_id)
-        drive = self._current_drive()
-        if drive is None:
-            return None
-        work = drive.lease_payload(self._owner(runner_id))
-        if work is not None:
+        while True:
             with self._lock:
-                runner.chunks += 1
-            event_log().emit("runner_lease", runner=runner_id,
-                             chunk=work["chunk"], epoch=work["epoch"],
-                             points=len(work["points"]))
+                while self._drive is None or self._drive.closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                    self._attached.wait(remaining)
+                drive = self._drive
+            work = drive.lease_payload(self._owner(runner_id), deadline)
+            if work is not None:
+                break
+            if time.monotonic() >= deadline:
+                return None
+        with self._lock:
+            runner.chunks += 1
+            runner.drive = drive
+        event_log().emit("chunk_lease", runner=runner_id,
+                         worker=runner.name, chunk=work["chunk"],
+                         epoch=work["epoch"], campaign=work["campaign"],
+                         points=len(work["points"]))
         return work
 
     def row(self, runner_id, chunk, epoch, row):
@@ -242,29 +309,31 @@ class RunnerHub:
             runner = self._touch(runner_id)
             if "__batch__" not in row:
                 runner.points += 1
-        drive = self._current_drive()
+            drive = runner.drive
         if drive is not None:
             drive.record(chunk, epoch, row)
             drive.renew(self._owner(runner_id))
 
     def heartbeat(self, runner_id):
         with self._lock:
-            self._touch(runner_id)
-        drive = self._current_drive()
+            runner = self._touch(runner_id)
+            drive = runner.drive
         if drive is not None:
             drive.renew(self._owner(runner_id))
-        return drive is not None
+        return self._current_drive() is not None
 
     def lost(self, runner_id):
+        """A runner is gone: its leases requeue at once, and the main
+        loop wakes to re-count the fleet."""
         with self._lock:
             runner = self._runners.get(runner_id)
             if runner is None or not runner.alive:
                 return
             runner.alive = False
+            drives = {runner.drive, self._drive} - {None}
         event_log().emit("runner_lost", runner=runner_id,
                          name=runner.name)
-        drive = self._current_drive()
-        if drive is not None:
+        for drive in drives:
             for chunk in drive.release(self._owner(runner_id)):
                 event_log().emit("runner_chunk_requeued",
                                  runner=runner_id,
@@ -336,6 +405,60 @@ def handle_runner_method(hub, channel, method, params):
                         f"not a runner method: {method!r}")
 
 
+def serve_connection(hub, conn):
+    """Master side of one runner connection: answer its ``runner_*``
+    frames until the socket closes, then declare its runners lost.
+
+    The one connection loop for every runner — accepted over TCP by
+    :class:`RunnerListener` or forked locally by
+    :class:`~repro.campaign.pool.WorkerPool` over a socketpair.
+    """
+    reader = protocol.LineReader()
+    try:
+        while True:
+            data = conn.recv(65536)
+            if not data:
+                break
+            for item in reader.feed(data):
+                if isinstance(item, protocol.Oversized):
+                    conn.sendall(protocol.encode(protocol.error_response(
+                        None, protocol.E_OVERSIZED,
+                        f"line exceeded {protocol.MAX_LINE_BYTES} "
+                        f"bytes")))
+                    continue
+                conn.sendall(protocol.encode(
+                    _answer(hub, conn, item)))
+    except OSError:
+        pass
+    finally:
+        hub.lost_channel(conn)
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+
+def _answer(hub, conn, line):
+    """One response frame for one request line (errors included)."""
+    request_id = None
+    try:
+        frame = protocol.decode(line)
+        request_id, method, params = protocol.parse_request(frame)
+        if not method.startswith("runner_"):
+            raise ProtocolError(
+                protocol.E_BAD_REQUEST,
+                f"the runner port only speaks runner_* methods, "
+                f"not {method!r}")
+        result = handle_runner_method(hub, conn, method, params)
+        return protocol.response(request_id, result)
+    except ProtocolError as exc:
+        return protocol.error_response(request_id, exc.code, exc.message)
+    except Exception as exc:  # noqa: BLE001 — a hub bug must not kill
+        # the connection thread (mirrors the serve master).
+        return protocol.error_response(
+            request_id, protocol.E_SERVER, f"{type(exc).__name__}: {exc}")
+
+
 class RunnerListener:
     """TCP accept loop feeding a :class:`RunnerHub`.
 
@@ -386,70 +509,12 @@ class RunnerListener:
             thread.start()
 
     def _conn_loop(self, conn):
-        reader = protocol.LineReader()
-        send_lock = threading.Lock()
-
-        def send(message):
-            data = protocol.encode(message)
-            with send_lock:
-                conn.sendall(data)
-
         try:
-            while True:
-                try:
-                    data = conn.recv(65536)
-                except OSError:
-                    break
-                if not data:
-                    break
-                for item in reader.feed(data):
-                    if isinstance(item, protocol.Oversized):
-                        send(protocol.error_response(
-                            None, protocol.E_OVERSIZED,
-                            f"line exceeded "
-                            f"{protocol.MAX_LINE_BYTES} bytes"))
-                        continue
-                    self._handle_line(conn, item, send)
-        except OSError:
-            pass
+            serve_connection(self.hub, conn)
         finally:
-            self.hub.lost_channel(conn)
             with self._conns_lock:
                 if conn in self._conns:
                     self._conns.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle_line(self, conn, line, send):
-        request_id = None
-        try:
-            frame = protocol.decode(line)
-            request_id, method, params = protocol.parse_request(frame)
-            if not method.startswith("runner_"):
-                raise ProtocolError(
-                    protocol.E_BAD_REQUEST,
-                    f"the runner port only speaks runner_* methods, "
-                    f"not {method!r}")
-            result = handle_runner_method(self.hub, conn, method, params)
-            send(protocol.response(request_id, result))
-        except ProtocolError as exc:
-            try:
-                send(protocol.error_response(request_id, exc.code,
-                                             exc.message))
-            except OSError:
-                pass
-        except OSError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — a hub bug must not
-            # kill the listener thread (mirrors the serve master).
-            try:
-                send(protocol.error_response(
-                    request_id, protocol.E_SERVER,
-                    f"{type(exc).__name__}: {exc}"))
-            except OSError:
-                pass
 
     def stop(self):
         self._shutdown.set()
@@ -475,6 +540,11 @@ class RunnerListener:
 
 
 # -- the runner client -----------------------------------------------------
+
+#: Row casts a runner leaves unanswered before draining the replies;
+#: a socketpair buffer holds ~270 of them before its sender blocks.
+MAX_UNANSWERED = 64
+
 
 class _Channel:
     """Pipelined line-JSON RPC client over one socket.
@@ -571,21 +641,30 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
     """The ``repro runner --connect`` main loop.
 
     Connect to a master at ``address`` (``HOST:PORT`` or a Unix
-    socket path), register, then lease chunks and stream rows until
-    the connection dies.  With ``reconnect`` the runner retries for
-    ``retry_s`` seconds of continuous failure before giving up — a
-    master restart inside that window gets this runner back without
-    intervention.  While a lease evaluates, a helper thread casts a
-    heartbeat every ``heartbeat_s`` seconds so a legitimately slow
-    unit (an unbounded point, a wide batch group) keeps renewing its
-    lease instead of expiring mid-evaluation and livelocking the
-    campaign on requeues.  ``max_chunks`` / ``idle_exit_s`` bound the
-    loop for tests and drills.  Returns the number of chunks
-    evaluated.
+    socket path), register, then run :func:`serve_leases` until the
+    connection dies.  With ``reconnect`` the runner retries (every
+    ``poll_s``, at most 1 s) for ``retry_s`` seconds of continuous
+    failure before giving up — a master restart inside that window
+    gets this runner back without intervention.  While a lease
+    evaluates, a helper thread casts a heartbeat every ``heartbeat_s``
+    seconds, so a legitimately slow unit keeps renewing its lease
+    instead of expiring mid-evaluation.  ``max_chunks`` /
+    ``idle_exit_s`` bound the loop for tests and drills.  Returns the
+    number of chunks evaluated.
     """
     chunks_done = 0
     last_grant = time.monotonic()
     failing_since = None
+
+    def until(granted):
+        nonlocal chunks_done, last_grant
+        now = time.monotonic()
+        if granted:
+            chunks_done += 1
+            last_grant = now
+            return max_chunks is not None and chunks_done >= max_chunks
+        return idle_exit_s is not None and now - last_grant > idle_exit_s
+
     while True:
         try:
             channel = _connect(address)
@@ -611,24 +690,9 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
                           f"({worker_id}) at {address}")
             event_log().emit("runner_connected", runner=runner_id,
                              address=address, name=worker_id)
-            while True:
-                work = channel.call("runner_lease",
-                                    {"runner": runner_id})["work"]
-                if work is None:
-                    if (idle_exit_s is not None
-                            and time.monotonic() - last_grant
-                            > idle_exit_s):
-                        return chunks_done
-                    channel.call("runner_heartbeat",
-                                 {"runner": runner_id})
-                    time.sleep(poll_s)
-                    continue
-                last_grant = time.monotonic()
-                chunks_done += 1
-                _evaluate_lease(channel, runner_id, worker_id, work,
-                                heartbeat_s=heartbeat_s)
-                if max_chunks is not None and chunks_done >= max_chunks:
-                    return chunks_done
+            serve_leases(channel, runner_id, worker_id,
+                         heartbeat_s=heartbeat_s, until=until)
+            return chunks_done
         except (OSError, ConnectionError, ProtocolError, KeyError) as exc:
             if not reconnect:
                 raise
@@ -645,11 +709,31 @@ def run_runner(address, name=None, poll_s=0.5, reconnect=True,
             channel.close()
 
 
+def serve_leases(channel, runner_id, worker_id, heartbeat_s=10.0,
+                 until=None):
+    """A registered runner's lease loop — remote and local alike.
+
+    Lease a chunk (the master holds an idle lease open until work
+    turns up, so there is no client-side poll), evaluate it, stream
+    its rows back, repeat.  ``until(granted)`` is asked after every
+    lease reply and ends the loop when it returns true; otherwise the
+    loop runs until the connection dies (raising).
+    """
+    while True:
+        work = channel.call("runner_lease", {"runner": runner_id})["work"]
+        if work is not None:
+            _evaluate_lease(channel, runner_id, worker_id, work,
+                            heartbeat_s=heartbeat_s)
+        if until is not None and until(work is not None):
+            return
+
+
 def _evaluate_lease(channel, runner_id, worker_id, work,
                     heartbeat_s=10.0):
     """Evaluate one leased chunk and stream its rows back (pipelined;
-    one response drain at the end keeps the wire round-trip cost per
-    chunk, not per point).
+    replies are drained every :data:`MAX_UNANSWERED` rows and at the
+    end, so the wire round-trip cost is per batch of rows, not per
+    point).
 
     A helper thread casts ``runner_heartbeat`` every ``heartbeat_s``
     seconds for the duration of the evaluation: completed-unit rows
@@ -667,15 +751,21 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
     # kernel can actually run (rows are bit-identical either way).
     lanes = resolve_batch_lanes(work.get("batch_lanes") or 1)
 
-    def emit(result):
+    def send_row(row):
         channel.cast("runner_row", {
             "runner": runner_id, "chunk": work["chunk"],
-            "epoch": work["epoch"], "row": result.to_row()})
+            "epoch": work["epoch"], "row": row})
+        if channel._pending >= MAX_UNANSWERED:
+            # Drain before the master's replies fill the socket buffer:
+            # a master blocked on a reply stops reading rows, and a
+            # runner blocked on a row would never read that reply.
+            channel.flush()
+
+    def emit(result):
+        send_row(result.to_row())
 
     def on_batch(stats):
-        channel.cast("runner_row", {
-            "runner": runner_id, "chunk": work["chunk"],
-            "epoch": work["epoch"], "row": {"__batch__": stats}})
+        send_row({"__batch__": stats})
 
     stop = threading.Event()
 
@@ -700,3 +790,7 @@ def _evaluate_lease(channel, runner_id, worker_id, work,
             stop.set()
             beater.join()
     channel.flush()
+    # One heartbeat event per drained chunk: liveness at a commit-log
+    # boundary, never per point (the hot path stays event-free).
+    event_log().emit("worker_heartbeat", worker=worker_id,
+                     campaign=work["campaign"])

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import mean
-from repro.obs.metrics import get_registry
+
+
+class _Loaded(dict):
+    """``{point_id: PointResult}`` plus the count of corrupt rows the
+    load skipped."""
+
+    corrupt_rows_skipped = 0
 
 
 @dataclass
@@ -109,14 +115,12 @@ class ResultStore:
         supersedes the failure).  A corrupt row — most commonly a
         trailing line truncated when a campaign was killed mid-write —
         is skipped rather than aborting the resume: the point it would
-        have recorded simply re-runs.  Every skipped row counts into
-        the ``store.corrupt_rows_skipped`` observability counter (the
-        executor surfaces the per-run delta in the end-of-run summary
-        and the live status), so corruption is visible even when the
-        one-time warning scrolled away.
+        have recorded simply re-runs.  The returned dict's
+        ``corrupt_rows_skipped`` counts the skipped rows (the executor
+        surfaces it in the end-of-run summary and the live status), so
+        corruption is visible even when the warning scrolled away.
         """
-        results = {}
-        corrupt = get_registry().counter("store.corrupt_rows_skipped")
+        results = _Loaded()
         # errors="replace": an undecodable (half-written) row must land
         # in the per-line JSON guard below, not abort the whole load.
         with open(path, "r", encoding="utf-8",
@@ -128,7 +132,7 @@ class ResultStore:
                 try:
                     result = PointResult.from_row(json.loads(line))
                 except (ValueError, KeyError, TypeError) as exc:
-                    corrupt.inc()
+                    results.corrupt_rows_skipped += 1
                     warnings.warn(
                         f"{path}:{lineno}: skipping corrupt result row "
                         f"({type(exc).__name__}: {exc}); the point will "

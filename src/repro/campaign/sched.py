@@ -5,8 +5,8 @@ owns everything about *which* work runs where and *what* came back —
 and deliberately nothing about *how* work travels: no processes, no
 sockets, no signals, no clocks it did not receive as arguments.  A
 :class:`ChunkScheduler` is therefore fully unit-testable with plain
-function calls, and every transport (the forked local
-:class:`~repro.campaign.pool.WorkerPool`, the TCP runner hub of
+function calls, and every transport (the forked local runners of
+:class:`~repro.campaign.pool.WorkerPool`, the TCP runners of
 :mod:`repro.campaign.remote`, or both mixed) drives the same one.
 
 The model:
@@ -35,9 +35,8 @@ The model:
   phantom stats (they are dropped on requeue and re-emitted by the
   re-run).
 * **Loss.** :meth:`fail_lost` converts whatever never came back into
-  ``WorkerDied`` failures — the local pool's partial-shard-death
-  story, where a dead fork's chunk cannot be re-run because the pool
-  is spent.
+  ``WorkerDied`` failures — the end of a campaign whose every runner
+  is gone for good.
 
 Determinism: the scheduler never touches point evaluation, so however
 many times a chunk is leased, requeued, and re-run, the first accepted
@@ -286,9 +285,9 @@ class ChunkScheduler:
     def fail_lost(self, error=WORKER_DIED_ERROR):
         """Fold a failure for every point that can no longer arrive.
 
-        Used by the local pool when its forked shards are spent: the
-        lost chunks cannot be re-leased anywhere, so their points
-        become failed results (same deliverable shape as
+        Used when no runner is left and none can rejoin: the lost
+        chunks cannot be re-leased anywhere, so their points become
+        failed results (same deliverable shape as
         :meth:`record`, so the caller's fan-out is uniform).
         """
         deliverables = []

@@ -3,17 +3,16 @@
 :func:`~repro.campaign.executor.run_campaign` plans a campaign (resume
 realignment, store/live/progress fan-out, result ordering) and hands
 the pending work to a **transport**, which owns only the question of
-*where* the points evaluate:
+*where* the points evaluate.  Every evaluator is a runner speaking the
+register/heartbeat/lease protocol of :mod:`repro.campaign.remote`, so
+both transports share one main loop, :func:`drive_campaign`:
 
-* :class:`LocalPoolTransport` — today's forked
-  :class:`~repro.campaign.pool.WorkerPool`, bit-identical to the
-  classic executor (same env knobs, same partial-shard-death
-  semantics, same ``WorkerDied`` fills).
+* :class:`LocalPoolTransport` — the runners of a forked
+  :class:`~repro.campaign.pool.WorkerPool` on this machine.
 * :class:`TcpRunnerTransport` — a
   :class:`~repro.campaign.remote.RunnerHub` of remote ``repro
-  runner`` processes leasing chunks over line-JSON RPC, optionally
-  mixed with a local pool stealing from the same
-  :class:`~repro.campaign.sched.ChunkScheduler`.
+  runner`` processes, optionally mixed with a local pool whose hub is
+  attached to the same drive.
 
 Every transport implements one method::
 
@@ -27,11 +26,13 @@ serial no matter which transport (or mixture) carried them.
 import time
 from dataclasses import dataclass, field
 
+from repro.campaign.remote import Drive
 from repro.campaign.sched import ChunkScheduler
 from repro.campaign.work import CampaignAborted
+from repro.obs.events import event_log
 
 __all__ = ["ExecutionPlan", "LocalPoolTransport", "TcpRunnerTransport",
-           "Transport", "effective_lease_timeout"]
+           "Transport", "drive_campaign", "effective_lease_timeout"]
 
 
 def effective_lease_timeout(lease_timeout_s, timeout_s, batch_lanes):
@@ -70,7 +71,7 @@ class ExecutionPlan:
     #: Optional :class:`~repro.obs.live.LiveStatus` for transport-level
     #: extras (runner health); results are fed by the executor.
     live: object = None
-    #: How many local shards the transport may use (``None`` = its own
+    #: How many local runners the transport may use (``None`` = its own
     #: default); remote transports treat this as the *mixed-mode* pool
     #: size.
     jobs: object = None
@@ -95,14 +96,85 @@ class Transport:
         """Release transport-owned resources (pools, sockets)."""
 
 
-class LocalPoolTransport(Transport):
-    """The classic path: a forked worker pool on this machine.
+def drive_campaign(plan, hubs, sources, lease_timeout_s=None,
+                   poll_s=0.05, remote=None, runner_grace_s=0.0,
+                   status_interval_s=1.0):
+    """The one main loop: run ``plan`` over the runners of ``hubs``.
 
-    ``pool`` may be a live :class:`~repro.campaign.pool.WorkerPool`, a
-    zero-argument factory returning one (or ``None`` for serial), or
-    absent — in which case an ephemeral pool of ``plan.jobs`` shards
-    is forked per campaign and closed afterwards, preserving the
-    classic ``run_campaign(jobs=N)`` behaviour exactly.
+    One :class:`~repro.campaign.remote.Drive` over one
+    :class:`~repro.campaign.sched.ChunkScheduler` is attached to every
+    hub; their connection threads lease and record through it, while
+    this loop folds deliverables, expires wedged leases, and publishes
+    the ``remote`` hub's runner health to the plan's live status.  It
+    waits on the drive — a folded row or a lost runner wakes it — for
+    at most ``poll_s`` at a time.
+
+    The loss rule: a dead runner's leases requeue immediately (the hub
+    sees its connection drop).  The remainder fails as ``WorkerDied``
+    only when no runner is left in any hub and none rejoins within
+    ``runner_grace_s``.  Local runners never reconnect, so the grace
+    applies only once a runner of the ``remote`` hub has registered.
+    """
+    log = event_log()
+    sched = ChunkScheduler(plan.pending, chunk_size=plan.chunk_size,
+                           sources=max(1, sources),
+                           batch_lanes=plan.batch_lanes,
+                           lease_timeout_s=effective_lease_timeout(
+                               lease_timeout_s, plan.timeout_s,
+                               plan.batch_lanes))
+    drive = Drive(sched, campaign_name=plan.campaign_name,
+                  timeout_s=plan.timeout_s, batch_lanes=plan.batch_lanes)
+    for hub in hubs:
+        hub.attach(drive)
+    next_status = 0.0
+    had_remote = remote is not None and bool(remote.runners_info())
+    fleet_lost_at = None
+    try:
+        while True:
+            if plan.abort is not None and plan.abort():
+                raise CampaignAborted(
+                    f"campaign {plan.campaign_name!r} aborted with "
+                    f"{drive.completed} of {len(plan.pending)} "
+                    f"pending points done", completed=drive.completed)
+            plan.deliver(drive.drain())
+            if drive.done:
+                break
+            now = time.monotonic()
+            for chunk in drive.expire(now):
+                log.emit("lease_expired", chunk=chunk.chunk_id,
+                         campaign=plan.campaign_name,
+                         points=len(chunk.pairs))
+            if remote is not None:
+                if remote.active_count():
+                    had_remote = True
+                if plan.live is not None and now >= next_status:
+                    plan.live.runners(remote.runners_info())
+                    next_status = now + status_interval_s
+            if any(hub.active_count() for hub in hubs):
+                fleet_lost_at = None
+            else:
+                if fleet_lost_at is None:
+                    fleet_lost_at = now
+                grace = runner_grace_s if had_remote else 0.0
+                if now - fleet_lost_at >= grace:
+                    plan.deliver(drive.fail_lost())
+                    break
+            drive.wait(poll_s)
+    finally:
+        drive.close()
+        for hub in hubs:
+            hub.detach()
+    plan.deliver(drive.drain())
+    return drive.results()
+
+
+class LocalPoolTransport(Transport):
+    """Local runners: the forked :class:`~repro.campaign.pool.WorkerPool`.
+
+    ``pool`` may be a live pool, a zero-argument factory returning one
+    (or ``None`` for serial), or absent — in which case an ephemeral
+    pool of ``plan.jobs`` runners is forked per campaign and closed
+    afterwards (the classic ``run_campaign(jobs=N)`` behaviour).
     """
 
     def __init__(self, pool=None, jobs=None):
@@ -133,34 +205,26 @@ class LocalPoolTransport(Transport):
 
 class TcpRunnerTransport(Transport):
     """Distribute chunks across registered remote runners (and,
-    optionally, a local pool stealing from the same scheduler).
+    optionally, the runners of a local pool attached to the same
+    drive).
 
-    The transport's main loop owns the
-    :class:`~repro.campaign.sched.ChunkScheduler` through a
-    :class:`~repro.campaign.remote.Drive` (a lock + deliverable queue
-    shim): runner connection threads lease and record through the
-    drive, while this loop drains deliverables, pumps the optional
-    local pool, expires wedged leases, and publishes runner health to
-    the plan's live status.
+    Runner loss follows :func:`drive_campaign`: a disconnected
+    runner's chunks requeue immediately; a wedged-but-connected
+    runner's chunks requeue when their lease deadline lapses.  The
+    effective deadline is ``lease_timeout_s`` plus one evaluation
+    unit's legitimate budget (a batch group may burn ``timeout_s`` per
+    lane, then re-run scalar after a failure), and it is renewed by
+    rows and by the runner's in-evaluation heartbeat thread — so only
+    a runner that genuinely stopped responding ever expires.  Either
+    way the re-run is bit-identical — rows are pure functions of point
+    identity, and the bumped lease epoch blackholes any stragglers
+    from the lost lease.
 
-    Runner loss semantics: a disconnected runner's chunks requeue
-    immediately (connection death is detected by the hub); a
-    wedged-but-connected runner's chunks requeue when their lease
-    deadline lapses.  The effective deadline is ``lease_timeout_s``
-    plus one evaluation unit's legitimate budget (a batch group may
-    burn ``timeout_s`` per lane, then re-run scalar after a failure),
-    and it is renewed by rows, idle heartbeats, and the runner's
-    in-evaluation heartbeat thread — so only a runner that genuinely
-    stopped responding ever expires.  Either way the re-run is
-    bit-identical — rows are pure functions of point identity, and
-    the bumped lease epoch blackholes any stragglers from the lost
-    lease.
-
-    When the last runner drops and no local shard can absorb the
-    remainder, the transport grace-waits ``runner_grace_s`` (sized to
-    ``run_runner``'s default reconnect window) for a re-registration
-    before failing the remainder as ``WorkerDied`` — a transient TCP
-    blip must not convert a recoverable run into a failed one.
+    When the last runner drops, the transport grace-waits
+    ``runner_grace_s`` (sized to ``run_runner``'s default reconnect
+    window) for a re-registration before failing the remainder as
+    ``WorkerDied`` — a transient TCP blip must not convert a
+    recoverable run into a failed one.
     """
 
     def __init__(self, hub, local_pool=None, lease_timeout_s=60.0,
@@ -174,129 +238,16 @@ class TcpRunnerTransport(Transport):
         self.runner_grace_s = runner_grace_s
 
     def execute(self, plan):
-        from repro.campaign.remote import Drive
-        from repro.obs.events import event_log
-
-        log = event_log()
         pool = self._local_pool
         if pool is not None and callable(pool):
             pool = pool()
-        sources = self.hub.active_count() + (pool.jobs if pool else 0)
-        sched = ChunkScheduler(plan.pending, chunk_size=plan.chunk_size,
-                               sources=max(1, sources),
-                               batch_lanes=plan.batch_lanes,
-                               lease_timeout_s=effective_lease_timeout(
-                                   self.lease_timeout_s, plan.timeout_s,
-                                   plan.batch_lanes))
-        drive = Drive(sched, campaign_name=plan.campaign_name,
-                      timeout_s=plan.timeout_s,
-                      batch_lanes=plan.batch_lanes)
-        self.hub.attach(drive)
-        if pool is not None:
-            pool.start_epoch()
-        pool_draining = False
-        pool_spent = pool is None
-        next_status = 0.0
-        # Grace accounting for total runner loss: `had_runners` is true
-        # once any runner has ever registered; `fleet_lost_at` marks
-        # when the active count last hit zero.
-        had_runners = bool(self.hub.runners_info())
-        fleet_lost_at = None
-        try:
-            while True:
-                if plan.abort is not None and plan.abort():
-                    raise CampaignAborted(
-                        f"campaign {plan.campaign_name!r} aborted with "
-                        f"{drive.completed} of {len(plan.pending)} "
-                        f"pending points done",
-                        completed=drive.completed)
-                plan.deliver(drive.drain())
-                if drive.done:
-                    break
-                now = time.monotonic()
-                for chunk in drive.expire(now):
-                    log.emit("lease_expired", chunk=chunk.chunk_id,
-                             campaign=plan.campaign_name,
-                             points=len(chunk.pairs))
-                if plan.live is not None and now >= next_status:
-                    plan.live.runners(self.hub.runners_info())
-                    next_status = now + self.status_interval_s
-                if not pool_spent:
-                    pool_spent, pool_draining = self._pump_local(
-                        pool, plan, drive, pool_draining)
-                active = self.hub.active_count()
-                if active > 0:
-                    had_runners = True
-                    fleet_lost_at = None
-                elif fleet_lost_at is None:
-                    fleet_lost_at = now
-                if pool_spent and active == 0:
-                    # Nobody left to run the remainder.  A dropped
-                    # connection is often a blip — run_runner retries
-                    # for ~30s before giving up — so when runners were
-                    # ever present, grace-wait for a re-registration
-                    # (the drive stays attached, so a rejoining runner
-                    # leases the requeued chunks and the run resumes)
-                    # before failing the remainder as WorkerDied.
-                    grace = self.runner_grace_s if had_runners else 0.0
-                    if now - fleet_lost_at >= grace:
-                        plan.deliver(drive.fail_lost())
-                        break
-                if pool is None or pool_spent:
-                    time.sleep(self.poll_s)
-        finally:
-            self.hub.detach()
-            if pool is not None and not pool.healthy:
-                # Shards died during this run: reap the pool so its
-                # owner rebuilds instead of reusing a spent fleet.
-                pool.mark_spent()
-        plan.deliver(drive.drain())
-        return drive.results()
-
-    def _pump_local(self, pool, plan, drive, draining):
-        """Keep the local pool saturated and fold whatever it sends.
-
-        Returns ``(spent, draining)``.  Local shard death follows the
-        pool's partial-death protocol, but — unlike the pure-local
-        transport — the lost chunks *requeue* to the surviving
-        sources (remote runners included) instead of failing as
-        ``WorkerDied``, because here a lease can be re-run elsewhere.
-        """
-        from repro.obs.events import event_log
-
-        alive = pool.alive
-        if alive == 0:
-            # Every shard gone: requeue whatever "local" still held.
-            for chunk in drive.release("local"):
-                event_log().emit("local_chunks_requeued",
-                                 chunk=chunk.chunk_id,
-                                 points=len(chunk.pairs))
-            return True, draining
-        if alive < pool.jobs and not draining:
-            pool.drain_survivors()
-            draining = True
-        if not draining:
-            in_flight = drive.leased_by("local")
-            while in_flight < pool.jobs + 1:
-                chunk = drive.lease("local")
-                if chunk is None:
-                    break
-                pool.submit(plan.campaign_name, chunk,
-                            timeout_s=plan.timeout_s,
-                            batch_lanes=plan.batch_lanes)
-                in_flight += 1
-        polled = pool.poll(timeout=self.poll_s)
-        while polled is not None:
-            chunk_id, lease_epoch, row = polled
-            drive.record(chunk_id, lease_epoch, row)
-            polled = pool.poll(timeout=0.0)
-        # Live shards are the local heartbeat: their liveness is
-        # directly observable here (unlike a remote runner's), so a
-        # local lease is renewed every pump and can only be lost via
-        # the shard-death protocol above — never by expiry while a
-        # long unit is still legitimately computing.
-        drive.renew("local")
-        return False, draining
+        hubs = [self.hub] + ([pool.hub] if pool is not None else [])
+        return drive_campaign(
+            plan, hubs,
+            sources=self.hub.active_count() + (pool.jobs if pool else 0),
+            lease_timeout_s=self.lease_timeout_s, poll_s=self.poll_s,
+            remote=self.hub, runner_grace_s=self.runner_grace_s,
+            status_interval_s=self.status_interval_s)
 
     def close(self):
         pool = self._local_pool

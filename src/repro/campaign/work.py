@@ -2,8 +2,8 @@
 
 This is the *execution* half of the old monolithic executor — the code
 that actually runs campaign points, wherever it happens to be running:
-inline in the serial path, inside a forked shard of
-:class:`~repro.campaign.pool.WorkerPool`, or in a remote ``repro
+inline in the serial path, or inside a runner — a forked local one
+of :class:`~repro.campaign.pool.WorkerPool` or a remote ``repro
 runner`` process on another host.  Everything here is
 process-agnostic: no queues, no sockets, no forks — just "evaluate
 these (index, point) pairs and hand each finished

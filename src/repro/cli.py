@@ -1291,7 +1291,9 @@ def build_parser():
                                     "and runner status (default "
                                     "runner-<id>)")
     runner_parser.add_argument("--poll", type=float, default=0.5,
-                               help="idle seconds between empty leases")
+                               help="seconds between reconnect attempts "
+                                    "(at most 1; idle leases wait on "
+                                    "the master, not here)")
     runner_parser.add_argument("--retry", type=float, default=30.0,
                                help="seconds of continuous connection "
                                     "failure before giving up")

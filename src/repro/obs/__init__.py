@@ -5,9 +5,9 @@ coverage, slowdown) are exactly what campaigns compute — this package
 makes them observable *while the campaign runs* instead of only as
 JSONL-at-the-end:
 
-* :mod:`repro.obs.metrics` — dependency-free counters, gauges,
-  sliding-window rates, and streaming P² percentile estimators
-  (latency P50/P95/P99 in O(1) memory);
+* :mod:`repro.obs.metrics` — dependency-free sliding-window rates and
+  streaming P² percentile estimators (latency P50/P95/P99 in O(1)
+  memory);
 * :mod:`repro.obs.events` — an opt-in structured JSONL event log
   (``$REPRO_EVENTS``): campaign/shard/chunk/point/cache lifecycle
   events, monotonic-clocked, multi-process append-safe;
@@ -28,29 +28,22 @@ from repro.obs.events import (EventLog, event_log, events_enabled,
                               reset_event_log)
 from repro.obs.live import (LiveStatus, load_status, snapshot_from_store,
                             status_path_for)
-from repro.obs.metrics import (Counter, Gauge, MetricsRegistry, P2Estimator,
-                               Quantile, RateWindow, get_registry,
-                               reset_registry)
+from repro.obs.metrics import P2Estimator, Quantile, RateWindow
 from repro.obs.watch import render_snapshot, resolve_status_source, watch
 
 __all__ = [
-    "Counter",
     "EventLog",
-    "Gauge",
     "LiveStatus",
-    "MetricsRegistry",
     "P2Estimator",
     "Quantile",
     "RateWindow",
     "event_log",
     "events_enabled",
-    "get_registry",
     "install_event_log",
     "load_status",
     "read_events",
     "render_snapshot",
     "reset_event_log",
-    "reset_registry",
     "resolve_status_source",
     "snapshot_from_store",
     "status_path_for",

@@ -44,7 +44,7 @@ import time
 from repro.analysis.coverage import (COVERAGE_SUFFIX, CoverageMap,
                                      save_coverage)
 from repro.obs.events import event_log
-from repro.obs.metrics import Quantile, RateWindow, get_registry
+from repro.obs.metrics import Quantile, RateWindow
 
 STATUS_SCHEMA = 1
 
@@ -155,11 +155,6 @@ class LiveStatus:
         if not cells:
             return
         self.coverage.merge_cells(cells)
-        # Per-structure gauges in the process registry, for anything
-        # scraping metrics rather than the status snapshot.
-        registry = get_registry()
-        for structure, rate in self.coverage.structure_rates().items():
-            registry.gauge(f"coverage.{structure}").set(rate)
 
     def batch(self, stats):
         """Fold one lockstep batch's kernel stats.
@@ -167,8 +162,7 @@ class LiveStatus:
         ``stats`` is :class:`repro.perf.batch.BatchOutcome` ``.stats``:
         ``{"lanes", "instructions", "occupancy", "evictions"}`` with
         ``occupancy`` the mean live-lane fraction over the run.  Feeds
-        the lanes-active gauge and the per-cause eviction counters in
-        the process registry, plus the snapshot's ``batch`` section.
+        the snapshot's ``batch`` section.
         """
         with self._lock:
             self.batches += 1
@@ -180,13 +174,6 @@ class LiveStatus:
             for cause, count in evictions.items():
                 self.batch_evictions_by_cause[cause] = (
                     self.batch_evictions_by_cause.get(cause, 0) + count)
-            registry = get_registry()
-            registry.counter("batch.batches").inc()
-            registry.counter("batch.lanes").inc(lanes)
-            registry.gauge("batch.lanes_active").set(occupancy * lanes)
-            for cause, count in evictions.items():
-                registry.counter("batch.evictions").inc(count)
-                registry.counter(f"batch.evictions.{cause}").inc(count)
             self.publish()
 
     def resumed_point(self, result):

@@ -1,15 +1,12 @@
-"""Dependency-free metrics: counters, gauges, streaming quantiles.
+"""Dependency-free metrics: streaming quantiles and windowed rates.
 
 The observability layer needs the paper's headline quantities —
 detection-latency percentiles, throughput, coverage — *while a
 campaign is running*, without holding the whole population in memory
 and without adding anything to the simulation hot path.  This module
-provides the three primitive instruments:
+provides the two instruments :class:`~repro.obs.live.LiveStatus` and
+:class:`~repro.campaign.progress.ProgressReporter` read:
 
-* :class:`Counter` — a monotonically increasing count (points
-  completed, cache hits, corrupt rows skipped);
-* :class:`Gauge` — a point-in-time value (detection rate, shard
-  count);
 * :class:`Quantile` — a streaming estimator that tracks several
   percentiles of an unbounded observation stream in O(1) memory using
   the P² algorithm (Jain & Chlamtac, CACM 1985): five markers per
@@ -20,26 +17,16 @@ provides the three primitive instruments:
 * :class:`RateWindow` — a sliding-window event rate on the monotonic
   clock (the fix for lifetime-average progress rates that flatline
   misleadingly on long tails).
-
-A :class:`MetricsRegistry` names and owns instruments and renders one
-plain-dict :meth:`~MetricsRegistry.snapshot` for publication.  The
-process-wide registry (:func:`get_registry`) is what the campaign
-executor, result store, and compilation cache record into.
 """
 
 import time
 from collections import deque
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "P2Estimator",
     "Quantile",
     "RateWindow",
     "exact_percentile",
-    "get_registry",
-    "reset_registry",
 ]
 
 
@@ -195,32 +182,6 @@ class Quantile:
         return snap
 
 
-class Counter:
-    """Monotonic count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-        return self.value
-
-
-class Gauge:
-    """Point-in-time value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = None
-
-    def set(self, value):
-        self.value = value
-        return value
-
-
 class RateWindow:
     """Sliding-window event rate on the monotonic clock.
 
@@ -259,65 +220,3 @@ class RateWindow:
             # no measurable extent yet, so a rate would be noise.
             return 0.0
         return self._total / span
-
-
-class MetricsRegistry:
-    """Named instruments plus one plain-dict snapshot of them all."""
-
-    def __init__(self):
-        self._counters = {}
-        self._gauges = {}
-        self._quantiles = {}
-
-    def counter(self, name):
-        try:
-            return self._counters[name]
-        except KeyError:
-            instrument = self._counters[name] = Counter()
-            return instrument
-
-    def gauge(self, name):
-        try:
-            return self._gauges[name]
-        except KeyError:
-            instrument = self._gauges[name] = Gauge()
-            return instrument
-
-    def quantile(self, name, fractions=Quantile.DEFAULT_FRACTIONS):
-        try:
-            return self._quantiles[name]
-        except KeyError:
-            instrument = self._quantiles[name] = Quantile(fractions)
-            return instrument
-
-    def snapshot(self):
-        """All instruments as one JSON-ready dict."""
-        snap = {}
-        if self._counters:
-            snap["counters"] = {name: c.value
-                                for name, c in sorted(self._counters.items())}
-        if self._gauges:
-            snap["gauges"] = {name: g.value
-                              for name, g in sorted(self._gauges.items())}
-        if self._quantiles:
-            snap["quantiles"] = {name: q.snapshot()
-                                 for name, q
-                                 in sorted(self._quantiles.items())}
-        return snap
-
-
-_registry = None
-
-
-def get_registry():
-    """The process-wide :class:`MetricsRegistry`."""
-    global _registry
-    if _registry is None:
-        _registry = MetricsRegistry()
-    return _registry
-
-
-def reset_registry():
-    """Drop the process-wide registry (tests)."""
-    global _registry
-    _registry = None

@@ -89,12 +89,10 @@ def summarize_events(events):
             campaign["aborts"] += 1
             if isinstance(dur, (int, float)):
                 campaign["dur_s"] += dur
-        elif name in ("chunk_lease", "runner_lease"):
+        elif name == "chunk_lease":
             chunks["leases"] += 1
             chunks["lease_points"] += record.get("points", 0) or 0
             worker = record.get("worker")
-            if worker is None and record.get("runner") is not None:
-                worker = f"runner-{record['runner']}"
             if worker is not None:
                 shard = shards.setdefault(
                     str(worker), {"points": 0, "failed": 0,
@@ -102,7 +100,7 @@ def summarize_events(events):
                 shard["chunks"] += 1
         elif name == "lease_expired":
             chunks["expired"] += 1
-        elif name in ("runner_chunk_requeued", "local_chunks_requeued"):
+        elif name == "runner_chunk_requeued":
             chunks["requeued"] += 1
             chunks["requeued_points"] += record.get("points", 0) or 0
     points.sort(key=lambda r: r.get("elapsed_s", 0.0), reverse=True)

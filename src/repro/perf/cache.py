@@ -239,25 +239,20 @@ def cached_compile(key, build_source, filename):
     ``build_source`` is only invoked on a disk miss, so a warm start
     skips both the source assembly and the parse/codegen.
 
-    Every lookup counts into the ``cache.hits``/``cache.misses``
-    observability counters and (when ``$REPRO_EVENTS`` is set) emits a
+    Every lookup (when ``$REPRO_EVENTS`` is set) emits a
     ``cache_hit``/``cache_miss`` event.  This fires once per *maker
     compilation* — dozens of times per process lifetime, never on the
     per-instruction path — so the instrumentation is free where it
     matters.
     """
     from repro.obs.events import event_log
-    from repro.obs.metrics import get_registry
 
     cache = stepper_cache()
-    registry = get_registry()
     code = cache.get(key)
     if code is None:
-        registry.counter("cache.misses").inc()
         event_log().emit("cache_miss", key=key)
         code = compile(build_source(), filename, "exec")
         cache.put(key, code)
     else:
-        registry.counter("cache.hits").inc()
         event_log().emit("cache_hit", key=key)
     return code

@@ -10,11 +10,11 @@ the figure drivers, the difftest harness and ``repro batch`` all share:
   compiling — and populating it — otherwise), so the first simulation
   of the process runs at warm-cache speed;
 * :meth:`ExecutionService.pool` owns a persistent
-  :class:`~repro.campaign.executor.WorkerPool`: forked once, workers
-  pre-import and pre-warm, and every subsequent campaign streams its
-  points over the existing queues instead of paying pool startup —
+  :class:`~repro.campaign.executor.WorkerPool`: forked once, runners
+  pre-import and pre-warm, and every subsequent campaign leases its
+  chunks to the idle runners instead of paying pool startup —
   back-to-back campaigns (a figure driver's sweeps, a difftest run, a
-  batch script) reuse the same shards;
+  batch script) reuse the same runners;
 * :meth:`ExecutionService.run_campaign` is
   :func:`repro.campaign.run_campaign` routed through that pool.
 

@@ -18,9 +18,9 @@ Failure semantics (each backed by a test in ``tests/test_serve.py``):
 * **Client death** never touches a run: a subscriber whose socket
   breaks is dropped from the broadcast list; the campaign keeps
   executing and its rows keep landing in the store.
-* **Worker death** is the pool's existing partial-shard-death story:
-  the survivors drain, the lost chunk's points fail as
-  ``WorkerDied``, the run finishes with those failures on record, and
+* **Worker death** is a lost runner: its lease requeues to a
+  surviving pool runner; points fail as ``WorkerDied`` only once every
+  runner is gone, the run finishes with those failures on record, and
   the next run gets a rebuilt pool.
 * **Master death** loses nothing durable: run records and result rows
   are on disk before clients hear about them, so a restarted master

@@ -139,10 +139,9 @@ METHOD_PARAMS = {
     "requeue": {"rid": (True, "int", False)},
     "subscribe": {"rid": (True, "int", False)},
     "shutdown": {},
-    # Runner-facing methods (repro runner <-> master).  Rows travel as
-    # plain dicts — batch kernel stats ride the same method as result
-    # rows, tagged by their "__batch__" key, exactly like the local
-    # pool's result queue.
+    # Runner-facing methods (repro runner or a local pool runner <->
+    # master).  Rows travel as plain dicts — batch kernel stats ride
+    # the same method as result rows, tagged by their "__batch__" key.
     "runner_register": {
         "name": (False, "str", True),
         "pid": (False, "int", True),

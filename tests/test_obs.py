@@ -15,9 +15,8 @@ from repro.obs.events import (EventLog, event_log, events_enabled,
                               reset_event_log)
 from repro.obs.live import (LiveStatus, load_status, snapshot_from_store,
                             status_path_for)
-from repro.obs.metrics import (Counter, Gauge, MetricsRegistry, P2Estimator,
-                               Quantile, RateWindow, exact_percentile,
-                               get_registry, reset_registry)
+from repro.obs.metrics import (P2Estimator, Quantile, RateWindow,
+                               exact_percentile)
 from repro.obs.watch import render_snapshot, resolve_status_source, watch
 
 numpy = pytest.importorskip("numpy")
@@ -25,12 +24,10 @@ numpy = pytest.importorskip("numpy")
 
 @pytest.fixture(autouse=True)
 def _clean_obs_globals(monkeypatch):
-    """Each test gets a fresh registry and a disabled event log."""
+    """Each test gets a disabled event log."""
     monkeypatch.delenv("REPRO_EVENTS", raising=False)
-    reset_registry()
     reset_event_log()
     yield
-    reset_registry()
     reset_event_log()
 
 
@@ -163,39 +160,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-# -- registry -------------------------------------------------------------
-
-class TestRegistry:
-    def test_counter_gauge_quantile_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.counter("a").inc(4)
-        registry.gauge("g").set(0.5)
-        registry.quantile("q").observe(3.0)
-        snap = registry.snapshot()
-        assert snap["counters"]["a"] == 5
-        assert snap["gauges"]["g"] == 0.5
-        assert snap["quantiles"]["q"]["count"] == 1
-
-    def test_instruments_are_memoized(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("x") is registry.gauge("x")
-        assert registry.quantile("x") is registry.quantile("x")
-
-    def test_process_registry_resets(self):
-        get_registry().counter("t").inc()
-        reset_registry()
-        assert get_registry().counter("t").value == 0
-
-    def test_counter_and_gauge_primitives(self):
-        counter = Counter()
-        assert counter.inc() == 1 and counter.inc(2) == 3
-        gauge = Gauge()
-        assert gauge.value is None
-        assert gauge.set(9) == 9
 
 
 # -- event log ------------------------------------------------------------
@@ -459,8 +423,6 @@ class TestExecutorIntegration:
             spec, result.results,
             corrupt_rows_skipped=result.corrupt_rows_skipped)
         assert "corrupt store rows skipped on resume: 2" in summary
-        counter = get_registry().counter("store.corrupt_rows_skipped")
-        assert counter.value >= 2
 
     def test_clean_resume_reports_zero_corrupt_rows(self, tmp_path):
         store_path = str(tmp_path / "results.jsonl")
@@ -495,16 +457,6 @@ class TestProgressReporter:
         last = stream.getvalue().strip().splitlines()[-1]
         rate = float(last.split(" pts/s")[0].rsplit(" ", 1)[-1])
         assert rate < 4.0, f"stale lifetime-average rate shown: {last}"
-
-    def test_counts_routed_through_registry(self):
-        import io
-
-        reporter = ProgressReporter(total=2, stream=io.StringIO())
-        reporter(_point_result(0))
-        reporter(_point_result(1, ok=False))
-        registry = get_registry()
-        assert registry.counter("campaign.points_completed").value == 2
-        assert registry.counter("campaign.points_failed").value == 1
 
     def test_uses_monotonic_clock_by_default(self):
         import io

@@ -287,21 +287,3 @@ class TestBatchObservability:
         rendered = render_snapshot(snap)
         assert "batch" in rendered
         assert "divergence 1" in rendered
-
-    def test_registry_instruments(self):
-        from repro.obs.live import LiveStatus
-        from repro.obs.metrics import get_registry, reset_registry
-
-        reset_registry()
-        try:
-            live = LiveStatus("obs", total=1, path=None)
-            live.batch({"lanes": 8, "instructions": 10, "occupancy": 0.5,
-                        "evictions": {"forced": 2}})
-            snapshot = get_registry().snapshot()
-            assert snapshot["counters"]["batch.batches"] == 1
-            assert snapshot["counters"]["batch.lanes"] == 8
-            assert snapshot["counters"]["batch.evictions"] == 2
-            assert snapshot["counters"]["batch.evictions.forced"] == 2
-            assert snapshot["gauges"]["batch.lanes_active"] == 4.0
-        finally:
-            reset_registry()

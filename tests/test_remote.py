@@ -7,15 +7,17 @@ remote ``repro runner`` processes over loopback TCP, or a mixture of
 both — and that contract survives every loss mode the scheduler
 models:
 
-* a runner SIGKILLed mid-lease (connection death → immediate requeue);
+* a runner SIGKILLed mid-lease (connection death → immediate requeue),
+  remote or a forked local pool runner alike;
 * a wedged-but-connected runner (lease expiry → requeue);
 * a runner that leaves mid-campaign while a second keeps stealing;
 * an aborted campaign resumed over a fresh fleet.
 
 Runners here are mostly hosted in threads of this process (they speak
 real TCP to a real :class:`RunnerListener`, but share the test's task
-registry); the SIGKILL drill uses genuine ``repro runner``
-subprocesses because you cannot SIGKILL a thread.
+registry); the SIGKILL drills use genuine processes — ``repro
+runner`` subprocesses and forked pool runners — because you cannot
+SIGKILL a thread.
 """
 
 import contextlib
@@ -28,8 +30,8 @@ import time
 import pytest
 
 from repro.analysis.coverage import coverage_path_for
-from repro.campaign import (CampaignPoint, CampaignSpec, ResultStore,
-                            run_campaign, task)
+from repro.campaign import (CampaignPoint, CampaignSpec, PointResult,
+                            ResultStore, run_campaign, task)
 from repro.campaign.executor import CampaignAborted
 from repro.campaign.pool import WorkerPool
 from repro.campaign.remote import (RunnerHub, RunnerListener,
@@ -514,3 +516,200 @@ class TestLoss:
         assert rows_of(path) == rows_of(serial_path)
         assert read_bytes(coverage_path_for(path)) == \
             read_bytes(coverage_path_for(serial_path))
+
+
+# -- one worker protocol: local runners, idle leases, stragglers -----------
+
+
+class TestOneWorkerProtocol:
+    def test_external_sigkill_of_a_local_runner_requeues(self, tmp_path):
+        """A local runner SIGKILLed from outside mid-campaign is a lost
+        runner like any other: its lease requeues to the survivor and
+        the store matches serial byte-for-byte — no ``WorkerDied``."""
+        import signal
+
+        from repro.perf.service import ExecutionService
+
+        spec = inject_spec(name="loc-kill", trials=8,
+                           instructions=SMALL * 10)
+        serial_path, serial = run_to_store(spec, tmp_path, "serial")
+        assert serial.all_ok
+        service = ExecutionService()
+        killed = []
+
+        def progress(result):
+            if not killed:
+                victim = service.pool_info()["pids"][0]
+                os.kill(victim, signal.SIGKILL)
+                killed.append(victim)
+
+        path = str(tmp_path / "killed.jsonl")
+        try:
+            with ResultStore(path=path) as store:
+                live = attach_live(spec, 2, store=store)
+                # batch=1 keeps the points in single-point chunks, so
+                # the victim holds a lease of its own when it dies.
+                result = service.run_campaign(
+                    spec, jobs=2, store=store, live=live, chunk_size=1,
+                    batch=1, progress=progress)
+        finally:
+            service.shutdown()
+        assert killed, "campaign finished before the kill fired"
+        assert result.all_ok
+        assert rows_of(path) == rows_of(serial_path)
+        assert read_bytes(coverage_path_for(path)) == \
+            read_bytes(coverage_path_for(serial_path))
+
+    def test_idle_lease_wakes_on_attach(self):
+        """A lease made while no drive is attached returns a chunk as
+        soon as one attaches, not after a poll interval."""
+        from repro.campaign.remote import Drive
+        from repro.campaign.sched import ChunkScheduler
+
+        hub = RunnerHub()
+        runner = hub.register(object(), name="idle")
+        got = {}
+
+        def lease():
+            got["work"] = hub.lease(runner)
+            got["at"] = time.monotonic()
+
+        thread = threading.Thread(target=lease, daemon=True)
+        thread.start()
+        time.sleep(0.2)  # the lease is now waiting on an empty hub
+        spec = echo_spec(n=2)
+        drive = Drive(ChunkScheduler(list(enumerate(spec.points))),
+                      campaign_name=spec.name)
+        attached_at = time.monotonic()
+        hub.attach(drive)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert got["work"] is not None
+        assert got["at"] - attached_at < 0.1
+
+    def test_idle_lease_returns_none_by_the_bound(self):
+        from repro.campaign.remote import LEASE_WAIT_S
+
+        hub = RunnerHub()
+        runner = hub.register(object(), name="idle")
+        start = time.monotonic()
+        assert hub.lease(runner) is None
+        assert LEASE_WAIT_S <= time.monotonic() - start < LEASE_WAIT_S + 1.0
+
+    def test_second_campaign_on_a_warm_pool_starts_at_once(self):
+        """Runners idling between campaigns sit in a lease that the
+        next campaign's attach wakes: the second campaign finishes in
+        well under one idle-lease bound, without any poll sleep."""
+        from repro.campaign.remote import LEASE_WAIT_S
+
+        with WorkerPool(2) as pool:
+            first = run_campaign(echo_spec(name="warm-1", n=4), pool=pool)
+            assert first.all_ok
+            time.sleep(0.2)  # both runners now wait in an idle lease
+            start = time.monotonic()
+            second = run_campaign(echo_spec(name="warm-2", n=4), pool=pool)
+            elapsed = time.monotonic() - start
+        assert second.all_ok
+        assert elapsed < LEASE_WAIT_S / 2
+
+    def test_chunk_larger_than_a_socket_buffer_of_replies(self):
+        """A chunk of many fast points streams to completion: the
+        runner drains the master's replies as it goes, so neither side
+        ever blocks on a full socketpair buffer."""
+        spec = echo_spec(name="loc-wide", n=600)
+        outcome = {}
+
+        def campaign():
+            with WorkerPool(1) as pool:
+                outcome["result"] = run_campaign(
+                    spec, pool=pool, chunk_size=600, batch=1)
+
+        thread = threading.Thread(target=campaign, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "runner and master deadlocked"
+        assert outcome["result"].all_ok
+        assert outcome["result"].metrics() == \
+            run_campaign(spec, jobs=1).metrics()
+
+    def test_straggler_row_never_folds_into_the_next_campaign(self):
+        """A row from a lease of a finished (aborted) campaign goes to
+        that campaign's drive, never to the one attached now — even
+        when its chunk id, epoch and index all match a live lease."""
+        from repro.campaign.remote import Drive
+        from repro.campaign.sched import ChunkScheduler
+
+        hub = RunnerHub()
+        slow = hub.register(object(), name="slow")
+        fast = hub.register(object(), name="fast")
+
+        def drive_for(spec):
+            return Drive(ChunkScheduler(list(enumerate(spec.points))),
+                         campaign_name=spec.name)
+
+        old = drive_for(echo_spec(name="old", n=1, k=1))
+        hub.attach(old)
+        stale = hub.lease(slow)
+        old.close()
+        hub.detach()
+        new = drive_for(echo_spec(name="new", n=1, k=2))
+        hub.attach(new)
+        live = hub.lease(fast)
+        assert (stale["chunk"], stale["epoch"]) == \
+            (live["chunk"], live["epoch"])
+        point = CampaignPoint.from_dict(stale["points"][0][1])
+        row = PointResult(point_id=point.point_id, index=0, ok=True,
+                          metrics={"value": -1}).to_row()
+        hub.row(slow, stale["chunk"], stale["epoch"], row)
+        assert new.drain() == [] and new.completed == 0
+
+    def test_concurrent_runners_fold_every_point_exactly_once(self):
+        """Stress: more runner threads than cores lease, report and die
+        mid-chunk against one drive under a tiny switch interval; every
+        point is delivered exactly once, with its own row."""
+        import sys
+
+        from repro.campaign.transport import ExecutionPlan, drive_campaign
+
+        spec = echo_spec(name="stress", n=300)
+        hub = RunnerHub()
+        delivered = []
+        plan = ExecutionPlan(campaign_name=spec.name,
+                             pending=list(enumerate(spec.points)),
+                             chunk_size=3, on_result=delivered.append)
+
+        def runner(runner_id, dies_after):
+            reported = 0
+            while True:
+                work = hub.lease(runner_id)
+                if work is None:
+                    return
+                for index, point_dict in work["points"]:
+                    if reported == dies_after:
+                        hub.lost(runner_id)  # gone mid-chunk
+                        return
+                    point = CampaignPoint.from_dict(point_dict)
+                    hub.row(runner_id, work["chunk"], work["epoch"],
+                            PointResult(point_id=point.point_id,
+                                        index=index, ok=True,
+                                        metrics={"value": index}).to_row())
+                    reported += 1
+
+        threads = [threading.Thread(
+            target=runner,
+            args=(hub.register(object(), name=f"s{i}"),
+                  5 + i if i < 3 else None),
+            daemon=True) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            results = drive_campaign(plan, [hub], sources=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert sorted(r.index for r in delivered) == list(range(300))
+        assert all(results[i].metrics == {"value": i} for i in range(300))
